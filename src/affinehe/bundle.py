@@ -257,18 +257,6 @@ class EndForm:
         return float(np.abs(self.coeffs).max())
 
 
-def end_del(ef: EndForm) -> EndForm:
-    """del on bundle-valued forms (coefficient derivative plus gauge terms)."""
-    n, p = ef.torus.dim, ef.p
-    if p >= n:
-        return EndForm.zero(ef.torus, ef.bundle, p, ef.q)
-    out = EndForm.zero(ef.torus, ef.bundle, p + 1, ef.q)
-    for axis, i_in, i_out, sgn in _derivative_table(n, p):
-        der = d_end(ef.bundle, ef.torus, ef.coeffs[..., i_in, :, :, :], axis)
-        out.coeffs[..., i_out, :, :, :] += (0.5 * sgn) * der
-    return out
-
-
 def end_delbar(ef: EndForm) -> EndForm:
     """delbar on bundle-valued forms; sign (-1)^p as in the scalar case."""
     n, p, q = ef.torus.dim, ef.p, ef.q

@@ -147,9 +147,10 @@ def cmd_solve(cfg: RunConfig) -> int:
         if code != 0:
             return code
     if result.status == "max-iters":
+        payload["message"] = result.diagnostics["message"]
         _report(out / "solve_report.json", payload, cfg.quiet)
-        print("solver failure: continuity method exhausted its step budget "
-              "without convergence or blow-up", file=sys.stderr)
+        print("solver failure: continuity method stopped without convergence "
+              f"or blow-up: {payload['message']}", file=sys.stderr)
         return 2
     _report(out / "solve_report.json", payload, cfg.quiet)
     return 0
@@ -242,16 +243,10 @@ def main(argv=None) -> int:
         if args.grid is not None:
             cfg.resolution = args.grid
         cfg.quiet = args.quiet
-        if args.command == "selftest":
-            return cmd_selftest(cfg)
-        if args.command == "gauduchon":
-            return cmd_gauduchon(cfg)
-        if args.command == "stability":
-            return cmd_stability(cfg)
-        if args.command == "solve":
-            return cmd_solve(cfg)
         if args.command == "destabilize":
             return cmd_destabilize(cfg, args.state)
+        return {"selftest": cmd_selftest, "gauduchon": cmd_gauduchon,
+                "stability": cmd_stability, "solve": cmd_solve}[args.command](cfg)
     except errors.ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
@@ -261,7 +256,6 @@ def main(argv=None) -> int:
     except errors.InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

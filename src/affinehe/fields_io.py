@@ -2,7 +2,8 @@
 
 Format: one header line ``dim N type_tag rank`` followed by one line per
 grid point in row-major order, each holding the field's complex entries as
-``re im`` pairs (row-major within the matrix for matrix-valued fields).
+``re im`` pairs (row-major within the matrix for matrix-valued fields),
+written with ``%.17g`` so that loading restores every bit.
 """
 
 from __future__ import annotations
@@ -20,17 +21,13 @@ def dump_field(path, torus: AffineTorus, values: np.ndarray, tag: str) -> None:
         raise ValidationError(f"unknown field tag {tag!r}")
     values = np.asarray(values, dtype=complex)
     n, N = torus.dim, torus.resolution
-    if tag == "scalar":
-        rank = 1
-        flat = values.reshape(N**n, 1)
-    else:
-        rank = values.shape[-1]
-        flat = values.reshape(N**n, rank * rank)
+    rank = 1 if tag == "scalar" else values.shape[-1]
+    flat = values.reshape(N**n, rank * rank)
+    line = " ".join(["%.17g %.17g"] * (rank * rank)) + "\n"
+    pairs = np.stack([flat.real, flat.imag], axis=-1).ravel().tolist()
     with open(path, "w") as fh:
         fh.write(f"{n} {N} {tag} {rank}\n")
-        for row in flat:
-            fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-            fh.write("\n")
+        fh.write((line * N**n) % tuple(pairs))
 
 
 def load_field(path):
@@ -42,17 +39,15 @@ def load_field(path):
         n, N, tag, rank = int(header[0]), int(header[1]), header[2], int(header[3])
         if tag not in TYPE_TAGS:
             raise ValidationError(f"unknown field tag {tag!r} in {path}")
-        rows = []
-        for line in fh:
-            nums = [float(x) for x in line.split()]
-            rows.append([complex(nums[2 * i], nums[2 * i + 1])
-                         for i in range(len(nums) // 2)])
-    data = np.array(rows, dtype=complex)
-    if data.shape[0] != N**n:
+        nums = np.array(fh.read().split(), dtype=float)
+    width = 2 * (1 if tag == "scalar" else rank * rank)
+    if nums.size != N**n * width:
         raise ValidationError(
-            f"{path}: expected {N**n} grid rows, found {data.shape[0]}"
+            f"{path}: expected {N**n} grid rows of {width} numbers, "
+            f"found {nums.size} numbers"
         )
+    data = nums[0::2] + 1j * nums[1::2]
     shape = (N,) * n
     if tag == "scalar":
-        return n, N, tag, rank, data[:, 0].reshape(shape)
+        return n, N, tag, rank, data.reshape(shape)
     return n, N, tag, rank, data.reshape(shape + (rank, rank))

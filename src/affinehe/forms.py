@@ -16,6 +16,7 @@ positive definite g.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -152,8 +153,6 @@ def dolbeault_del(omega: Form) -> Form:
     """del = (1/2)(d (x) I): (p,q) -> (p+1,q)."""
     n, p, q = omega.torus.dim, omega.p, omega.q
     if p >= n:
-        import warnings
-
         warnings.warn("del of a top-degree form vanishes identically")
         return Form.zero(omega.torus, p, q)
     out = Form.zero(omega.torus, p + 1, q)
@@ -168,8 +167,6 @@ def dolbeault_delbar(omega: Form) -> Form:
     """delbar = (-1)^p (1/2)(I (x) d): (p,q) -> (p,q+1)."""
     n, p, q = omega.torus.dim, omega.p, omega.q
     if q >= n:
-        import warnings
-
         warnings.warn("delbar of a top-degree form vanishes identically")
         return Form.zero(omega.torus, p, q)
     sign_p = (-1) ** p
@@ -295,11 +292,6 @@ def trace_g(metric: MetricField, T: Form) -> np.ndarray:
     if (T.p, T.q) != (1, 1):
         raise ValidationError(f"trace_g needs a (1,1)-form, got ({T.p},{T.q})")
     return np.einsum("...ij,...ij->...", metric.inv, T.coeffs)
-
-
-def integrate_top(torus: AffineTorus, chi: Form) -> complex:
-    """Integral of an (n,n)-form over the torus: int chi / nu."""
-    return torus.integrate(div_by_nu(chi))
 
 
 def laplacian_type(metric: MetricField, psi: np.ndarray) -> np.ndarray:

@@ -6,31 +6,23 @@ zero mode of the linear operator
 
     Q(phi) = del delbar (phi omega_g^{n-1}) / omega_g^n .
 
-Q is assembled column by column from the form primitives; its kernel vector
-is extracted with shifted inverse iteration, and a dense SVD certifies that
-the discrete kernel is one-dimensional.  For n = 1 every metric is affine
-Gauduchon and the factor is identically one.
+Q is only applied, never assembled: a preconditioned GMRES solve of a
+bordered system gives the kernel vector, and Lanczos and LOBPCG on Q^H Q
+certify that the discrete kernel is one-dimensional.  For n = 1 every
+metric is affine Gauduchon and the factor is identically one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg as spla
 
-from .errors import (
-    KernelNotOneDimensional,
-    NoPositiveKernel,
-    ValidationError,
-)
-from .forms import (
-    Form,
-    MetricField,
-    div_by_nu,
-    dolbeault_del,
-    dolbeault_delbar,
-)
+from .errors import KernelNotOneDimensional, NoPositiveKernel, ValidationError
+from .forms import (Form, MetricField, _derivative_table, div_by_nu, dolbeault_del,
+                    dolbeault_delbar)
 
 
 @dataclass
@@ -41,9 +33,9 @@ class GauduchonResult:
     metric: MetricField         # g_G = factor^{1/(n-1)} g
     residual: float             # sup |del delbar omega_{g_G}^{n-1} / nu|
     q_residual: float           # sup |Q(factor)|
-    kernel_gap: float           # sigma_2 / sigma_max of the assembled Q
-    iterations: int = 0
-    already_gauduchon: bool = field(default=False)
+    kernel_gap: float           # sigma_2 / sigma_max of the discrete Q
+    iterations: int = 0         # GMRES iterations of the kernel solve
+    already_gauduchon: bool = False
 
 
 def apply_Q(metric: MetricField, phi: np.ndarray) -> np.ndarray:
@@ -51,14 +43,33 @@ def apply_Q(metric: MetricField, phi: np.ndarray) -> np.ndarray:
     torus = metric.torus
     n = torus.dim
     if n < 2:
-        raise ValidationError(
-            "Q is identically zero for n = 1; every metric is affine Gauduchon"
-        )
+        raise ValidationError("Q is identically zero for n = 1; every metric is "
+                              "affine Gauduchon")
     base = metric.omega_pow(n - 1)
     scaled = Form(torus, n - 1, n - 1,
                   base.coeffs * np.asarray(phi, dtype=complex)[..., None, None])
     top = dolbeault_del(dolbeault_delbar(scaled))
     return div_by_nu(top) / metric.volume_density()
+
+
+def apply_QH(metric: MetricField, psi: np.ndarray) -> np.ndarray:
+    """Exact Euclidean adjoint of the discrete Q (not the continuum Q*).
+
+    Runs the derivative tables of apply_Q backwards; each grid partial is
+    anti-Hermitian, so its adjoint is its negative.
+    """
+    torus = metric.torus
+    n = torus.dim
+    table = _derivative_table(n, n - 1)
+    u = (-1) ** (n * (n - 1) // 2) * np.asarray(psi) / metric.volume_density()
+    chi = torus.zeros(n, 1)              # adjoint of del: (n,n) -> (n-1,n)
+    for axis, i_in, _, sgn in table:
+        chi[..., i_in, 0] -= (0.5 * sgn) * torus.partial(u, axis)
+    out = torus.zeros(n, n)              # adjoint of delbar: -> (n-1,n-1)
+    for axis, j_in, _, sgn in table:
+        out[..., :, j_in] -= (0.5 * (-1) ** (n - 1) * sgn) * torus.partial(
+            chi[..., :, 0], axis)
+    return np.einsum("...ij,...ij->...", np.conj(metric.omega_pow(n - 1).coeffs), out)
 
 
 def apply_Qstar(metric: MetricField, psi: np.ndarray) -> np.ndarray:
@@ -76,104 +87,124 @@ def apply_Qstar(metric: MetricField, psi: np.ndarray) -> np.ndarray:
 
 def pairing(metric: MetricField, phi: np.ndarray, psi: np.ndarray) -> complex:
     """<phi, psi>_g = int phi psi omega^n / nu."""
-    return metric.torus.integrate(
-        np.asarray(phi) * np.asarray(psi) * metric.volume_density()
-    )
-
-
-def assemble_Q(metric: MetricField) -> np.ndarray:
-    """Dense matrix of Q acting on grid scalar fields (row-major raveling)."""
-    torus = metric.torus
-    npts = torus.n_points
-    A = np.empty((npts, npts), dtype=complex)
-    e = np.zeros(npts)
-    for j in range(npts):
-        e[j] = 1.0
-        A[:, j] = apply_Q(metric, e.reshape(torus.grid_shape)).ravel()
-        e[j] = 0.0
-    return A
-
-
-def _normalize_factor(metric: MetricField, phi: np.ndarray) -> np.ndarray:
-    """Scale so int phi omega^n/nu = int omega^n/nu (fixes the free scale)."""
-    w = metric.volume_density()
-    scale = metric.torus.integrate(w).real / metric.torus.integrate(phi * w).real
-    return phi * scale
+    density = np.asarray(phi) * np.asarray(psi) * metric.volume_density()
+    return metric.torus.integrate(density)
 
 
 GAUDUCHON_TOL = 1e-10       # residual below this counts as already Gauduchon
 SIGN_TOL = 1e-6             # relative negativity allowed in the kernel vector
 KERNEL_GAP_MIN = 1e-6       # sigma_2 must exceed this times sigma_max
+LOBPCG_TOL = 1e-10          # eigen-residual tolerance, relative to sigma_max^2
 
 
-def find_gauduchon_factor(metric: MetricField, tol: float = 1e-10,
-                          max_iter: int = 50) -> GauduchonResult:
+def _operator(torus, fn) -> spla.LinearOperator:
+    """A linear map of grid fields as an operator on raveled vectors."""
+    return spla.LinearOperator(
+        (torus.n_points,) * 2, dtype=complex,
+        matvec=lambda v: fn(v.reshape(torus.grid_shape)).ravel())
+
+
+def _principal_symbol(metric: MetricField) -> np.ndarray:
+    """-symbol of Q's principal part (1/4n) g^{ij} d_i d_j, g^{-1} at its mean.
+
+    Built from the backend's own derivative symbol, so it vanishes exactly
+    where the discrete partials do (constants; the fd checkerboard modes).
+    """
+    n = metric.torus.dim
+    gbar = metric.inv.reshape(-1, n, n).mean(axis=0)
+    s = np.meshgrid(*(metric.torus.derivative_symbol(),) * n, indexing="ij")
+    return sum(gbar[i, j] * s[i] * s[j] for i in range(n) for j in range(n)) / (4 * n)
+
+
+def kernel_singular_values(metric: MetricField,
+                           phi: np.ndarray) -> tuple[float, float]:
+    """(sigma_2, sigma_max) of the discrete Q, from Q^H Q without a matrix.
+
+    sigma_max^2 by Lanczos; sigma_2^2 by LOBPCG from a fixed-seed block of
+    three, on the complement of the kernel vector ``phi`` (a degenerate
+    kernel leaves a null vector there).  Q = V^{-1} L s exactly for
+    conformally flat metrics (V the volume density, s = V tr g^{-1}, L of
+    constant coefficients); the preconditioner inverts that form, with L's
+    symbol raised to its least nonzero value where it vanishes, so the fd
+    checkerboard null modes are kept.
+    """
+    torus = metric.torus
+    QHQ = _operator(torus, lambda v: apply_QH(metric, apply_Q(metric, v)))
+    rng = np.random.default_rng(0)
+    lam_max = spla.eigsh(QHQ, k=1, which="LA", tol=1e-10, return_eigenvectors=False,
+                         v0=rng.standard_normal(torus.n_points) + 0j)[0]
+    p = _principal_symbol(metric)
+    nonzero = p > 1e-12 * p.max()
+    p = np.where(nonzero, p, p[nonzero].min())
+    V = metric.volume_density()
+    s = V * np.einsum("...ii->...", metric.inv)
+
+    def precondition(v):
+        u = np.fft.ifftn(np.fft.fftn(v / s) / p) * V**2
+        return np.fft.ifftn(np.fft.fftn(u) / p) / s
+
+    with warnings.catch_warnings():
+        # an unconverged run still returns Ritz values: upper bounds
+        warnings.simplefilter("ignore", UserWarning)
+        lam = spla.lobpcg(QHQ, rng.standard_normal((torus.n_points, 3)) + 0j,
+                          Y=phi.reshape(-1, 1) / np.linalg.norm(phi),
+                          M=_operator(torus, precondition), largest=False,
+                          tol=LOBPCG_TOL * lam_max, maxiter=200)[0]
+    return float(np.sqrt(max(lam.real.min(), 0.0))), float(np.sqrt(lam_max))
+
+
+def find_gauduchon_factor(metric: MetricField, tol: float = 1e-12,
+                          max_cycles: int = 4) -> GauduchonResult:
     """Positive kernel element of Q, normalized, with the rescaled metric.
 
-    Shifted inverse iteration on the assembled discrete Q; a dense SVD
-    certifies the one-dimensional kernel (the desk-scale grids keep the
-    matrix small).  Raises NoPositiveKernel if the kernel vector changes
-    sign, KernelNotOneDimensional if a second near-null direction exists.
+    Solves (Q + mean) phi = 1 by GMRES to relative residual ``tol`` within
+    ``max_cycles`` restart cycles of 50; since the volume weights annihilate
+    Q from the left, phi has mean one and Q phi = 0.  Raises
+    KernelNotOneDimensional if a second near-null direction exists, then
+    NoPositiveKernel unless phi is real and of one sign.
     """
     torus = metric.torus
     n = torus.dim
-    ones = np.ones(torus.grid_shape)
-    if n == 1:
-        return GauduchonResult(
-            factor=ones, metric=metric, residual=0.0, q_residual=0.0,
-            kernel_gap=np.inf, already_gauduchon=True,
-        )
-    res0 = metric.gauduchon_residual()
+    res0 = metric.gauduchon_residual()           # zero for n = 1
     if res0 <= GAUDUCHON_TOL:
-        return GauduchonResult(
-            factor=ones, metric=metric, residual=res0,
-            q_residual=float(np.abs(apply_Q(metric, ones)).max()),
-            kernel_gap=np.inf, already_gauduchon=True,
-        )
+        ones = np.ones(torus.grid_shape)
+        q_res = float(np.abs(apply_Q(metric, ones)).max()) if n > 1 else 0.0
+        return GauduchonResult(factor=ones, metric=metric, residual=res0,
+                               q_residual=q_res, kernel_gap=np.inf,
+                               already_gauduchon=True)
 
-    A = assemble_Q(metric)
-    npts = A.shape[0]
-    scale = np.abs(A).max()
-    sv = scipy.linalg.svdvals(A)
-    sigma_min, sigma_2 = sv[-1], sv[-2]
-    gap = sigma_2 / sv[0]
-    if sigma_2 < KERNEL_GAP_MIN * sv[0]:
+    symbol = -_principal_symbol(metric)
+    symbol[symbol == 0.0] = 1.0          # where the mean term acts alone
+    bordered = _operator(torus, lambda v: apply_Q(metric, v) + v.mean())
+    fft_inverse = _operator(torus, lambda v: np.fft.ifftn(np.fft.fftn(v) / symbol))
+    steps = []
+    x, _ = spla.gmres(bordered, np.ones(torus.n_points, dtype=complex), M=fft_inverse,
+                      rtol=tol, atol=0.0, restart=50, maxiter=max_cycles,
+                      callback=steps.append, callback_type="pr_norm")
+    if not 0.0 < np.linalg.norm(x) < np.inf:
+        # (Q + mean) v = 0 forces mean(v) = 0 and Q v = 0
+        raise KernelNotOneDimensional(
+            "GMRES broke down on the bordered system Q + mean, which is "
+            "singular exactly when Q has a null vector of mean zero")
+    sigma_2, sigma_max = kernel_singular_values(metric, x)
+    if sigma_2 < KERNEL_GAP_MIN * sigma_max:
         raise KernelNotOneDimensional(
             f"second smallest singular value {sigma_2:.3e} is not separated "
-            f"from zero (largest {sv[0]:.3e}); discrete kernel is degenerate"
-        )
-
-    shift = 1e-13 * scale
-    lu, piv = scipy.linalg.lu_factor(A + shift * np.eye(npts))
-    x = np.ones(npts, dtype=complex)
-    x /= np.linalg.norm(x)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        x = scipy.linalg.lu_solve((lu, piv), x)
-        x /= np.linalg.norm(x)
-        if np.linalg.norm(A @ x) <= tol * scale:
-            break
+            f"from zero (largest {sigma_max:.3e}); discrete kernel is degenerate")
 
     phi = x.reshape(torus.grid_shape)
     if np.abs(phi.imag).max() > 1e-8 * np.abs(phi.real).max():
         raise NoPositiveKernel("kernel vector has a significant imaginary part")
     phi = phi.real
-    if phi.mean() < 0:
-        phi = -phi
     if phi.min() < -SIGN_TOL * phi.max():
         raise NoPositiveKernel(
             f"kernel vector changes sign (min {phi.min():.3e}, max {phi.max():.3e}); "
-            "discretization failed to produce a signed zero mode"
-        )
+            "discretization failed to produce a signed zero mode")
     phi = np.maximum(phi, 1e-300)
-    phi = _normalize_factor(metric, phi)
-
+    w = metric.volume_density()
+    phi *= w.sum() / (phi * w).sum()     # int phi omega^n/nu = int omega^n/nu
     g_G = metric.conformal(phi ** (1.0 / (n - 1)))
     return GauduchonResult(
-        factor=phi,
-        metric=g_G,
-        residual=g_G.gauduchon_residual(),
+        factor=phi, metric=g_G, residual=g_G.gauduchon_residual(),
         q_residual=float(np.abs(apply_Q(metric, phi)).max()),
-        kernel_gap=float(gap),
-        iterations=iterations,
-    )
+        kernel_gap=sigma_2 / sigma_max, iterations=len(steps))

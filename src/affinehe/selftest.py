@@ -6,6 +6,8 @@ tested against.  Used by the CLI ``selftest`` subcommand.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bundle import (
@@ -30,12 +32,10 @@ from .torus import AffineTorus, random_smooth_scalar
 
 
 def _random_form(torus, rng, p, q):
-    from math import comb
-
     n = torus.dim
     coeffs = np.stack(
-        [np.stack([random_smooth_scalar(torus, rng) for _ in range(comb(n, q))],
-                  axis=-1) for _ in range(comb(n, p))],
+        [np.stack([random_smooth_scalar(torus, rng) for _ in range(math.comb(n, q))],
+                  axis=-1) for _ in range(math.comb(n, p))],
         axis=-2,
     )
     return Form(torus, p, q, coeffs)
@@ -75,8 +75,6 @@ def run_selftest(quiet: bool = False, n: int = 2, N: int = 16, seed: int = 0):
     check("conj involution", float(np.abs(c2.coeffs - om.coeffs).max()), 1e-12)
 
     # omega^n/nu = n! det g
-    import math
-
     A = rng.standard_normal((n, n))
     g = MetricField(torus, A @ A.T + n * np.eye(n))
     check("omega^n/nu = n! det g",

@@ -19,6 +19,7 @@ slope ties are reported as strictly semistable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -160,8 +161,6 @@ def _nilpotent_invariant_subspaces(mats: list[np.ndarray]) -> list[np.ndarray]:
     if all(np.abs(m).max() < 1e-12 for m in mats):
         # scalar block: every subspace invariant; canonical finite sample =
         # spans of coordinate subsets
-        from itertools import combinations
-
         eye = np.eye(d, dtype=complex)
         for k in range(1, d + 1):
             for cols in combinations(range(d), k):
@@ -188,8 +187,6 @@ def _nilpotent_invariant_subspaces(mats: list[np.ndarray]) -> list[np.ndarray]:
     # subset spans inside the common kernel (the family acts by zero there)
     K1 = _common_kernel(mats)
     if K1.shape[1] > 1:
-        from itertools import combinations
-
         for k in range(1, K1.shape[1]):
             for cols in combinations(range(K1.shape[1]), k):
                 flag.append(K1[:, list(cols)])

@@ -20,6 +20,8 @@ Two derivative backends sit behind the same signature:
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .errors import ValidationError
@@ -101,13 +103,14 @@ class AffineTorus:
             )
         return complex(values.mean())
 
-    def with_backend(self, backend: str) -> "AffineTorus":
-        return AffineTorus(self.dim, self.resolution, backend)
+    def derivative_symbol(self) -> np.ndarray:
+        """Per-axis Fourier symbol s: ``partial`` multiplies mode k by i s[k].
 
-
-def partial_derivative(torus: AffineTorus, values: np.ndarray, axis: int) -> np.ndarray:
-    """Module-level alias of :meth:`AffineTorus.partial` for scalar fields."""
-    return torus.partial(values, axis)
+        2 pi k for the spectral backend, N sin(2 pi k / N) for fd.
+        """
+        if self.backend == "fd":
+            return self.resolution * np.sin(2 * np.pi * self._freq / self.resolution)
+        return 2 * np.pi * self._freq
 
 
 def random_smooth_scalar(torus, rng, modes: int = 3, amplitude: float = 1.0,
@@ -121,8 +124,6 @@ def random_smooth_scalar(torus, rng, modes: int = 3, amplitude: float = 1.0,
     out = np.zeros(shape, dtype=complex)
     ks = range(-modes, modes + 1)
     grids = [torus.coordinate(i) for i in range(n)]
-    from itertools import product
-
     for kvec in product(ks, repeat=n):
         decay = 2.0 ** (-sum(abs(k) for k in kvec))
         c = (rng.standard_normal() + 1j * rng.standard_normal()) * decay

@@ -197,3 +197,33 @@ def test_cli_grid_override(tmp_path):
     # the final metric dump reflects the overridden grid
     head = (tmp_path / "out" / "final_metric.txt").read_text().splitlines()[0]
     assert head.split()[:2] == ["1", "16"]
+
+
+def test_cli_solve_failure_reports_its_cause(tmp_path, capsys):
+    cfg = """
+[torus]
+dim = 2
+resolution = 16
+
+[metric]
+type = constant
+matrix = 1 0 0 1
+
+[bundle]
+rank = 2
+monodromy1 = 2 0 0 3
+monodromy2 = 1 0 0 1
+
+[perturbation]
+amplitude = 0.1
+
+[output]
+dir = {out}
+seed = 0
+"""
+    p = write(tmp_path / "c.ini", cfg.format(out=tmp_path / "out"))
+    assert main(["solve", "--config", p, "--quiet"]) == 2
+    rep = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert rep["status"] == "max-iters"
+    assert rep["message"] == "diverged at eps=1"
+    assert "diverged at eps=1" in capsys.readouterr().err

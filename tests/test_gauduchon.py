@@ -1,18 +1,51 @@
-"""Gauduchon conformal factor: operator oracles, adjointness, solver."""
+"""Gauduchon conformal factor: operator oracles, adjointness, solver.
+
+The matrix-free solver is checked against a dense oracle: Q assembled
+column by column, its SVD for the kernel gap and its null vector for the
+factor.
+"""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from affinehe.errors import KernelNotOneDimensional, ValidationError
 from affinehe.forms import MetricField
 from affinehe.gauduchon import (
+    KERNEL_GAP_MIN,
     apply_Q,
+    apply_QH,
     apply_Qstar,
-    assemble_Q,
     find_gauduchon_factor,
+    kernel_singular_values,
     pairing,
 )
 from affinehe.torus import AffineTorus, random_smooth_scalar
+
+
+def assemble_Q(metric, apply=apply_Q):
+    """Dense matrix of Q (or of ``apply``) on grid scalar fields, row-major."""
+    torus = metric.torus
+    npts = torus.n_points
+    A = np.empty((npts, npts), dtype=complex)
+    e = np.zeros(npts)
+    for j in range(npts):
+        e[j] = 1.0
+        A[:, j] = apply(metric, e.reshape(torus.grid_shape)).ravel()
+        e[j] = 0.0
+    return A
+
+
+def dense_oracle(metric):
+    """(normalized factor, sigma_2 / sigma_max) from the SVD of assembled Q."""
+    A = assemble_Q(metric)
+    _, sv, Vh = scipy.linalg.svd(A)
+    phi = np.conj(Vh[-1]).reshape(metric.torus.grid_shape)
+    phi = phi / phi.mean()               # fixes the phase; the kernel is real
+    assert np.abs(phi.imag).max() < 1e-10
+    w = metric.volume_density()
+    phi = phi.real * w.sum() / (phi.real * w).sum()
+    return phi, sv[-2] / sv[0]
 
 
 def sin_metric(torus, amplitude=0.5, axis=0):
@@ -128,3 +161,60 @@ def test_fd_backend_degenerate_kernel_detected():
     g = sin_metric(t, 0.5)
     with pytest.raises(KernelNotOneDimensional):
         find_gauduchon_factor(g)
+
+
+@pytest.mark.parametrize("dim,N,backend", [(2, 12, "spectral"), (2, 11, "fd"),
+                                           (3, 8, "spectral")])
+def test_apply_QH_is_conjugate_transpose_of_Q(dim, N, backend):
+    t = AffineTorus(dim, N, backend=backend)
+    g = sin_metric(t, 0.4, axis=dim - 1)
+    A = assemble_Q(g)
+    AH = assemble_Q(g, apply_QH)
+    assert np.abs(AH - A.conj().T).max() <= 1e-12 * np.abs(A).max()
+
+
+@pytest.mark.parametrize("dim,N,backend,amplitude", [
+    (2, 16, "spectral", 0.5), (2, 32, "spectral", 0.5),
+    (3, 8, "spectral", 0.4), (2, 15, "fd", 0.5)])
+def test_factor_matches_dense_oracle(dim, N, backend, amplitude):
+    t = AffineTorus(dim, N, backend=backend)
+    g = sin_metric(t, amplitude)
+    phi_dense, gap_dense = dense_oracle(g)
+    res = find_gauduchon_factor(g)
+    assert np.abs(res.factor - phi_dense).max() <= 1e-10
+    assert abs(res.kernel_gap - gap_dense) <= 1e-6 * gap_dense
+
+
+@pytest.mark.parametrize("dim,N", [(2, 12), (2, 16), (3, 8)])
+def test_fd_even_grid_kernel_degenerate(dim, N):
+    # the fd partial annihilates the checkerboard modes at even N
+    t = AffineTorus(dim, N, backend="fd")
+    g = sin_metric(t, 0.4)
+    with pytest.raises(KernelNotOneDimensional):
+        find_gauduchon_factor(g)
+    # whatever vector is deflated, a null vector stays in its complement
+    sigma_2, sigma_max = kernel_singular_values(g, np.ones(t.n_points, dtype=complex))
+    assert sigma_2 < KERNEL_GAP_MIN * sigma_max
+
+
+def test_factor_T3_N32():
+    # P = 32768 grid points: a dense Q would need 17 GB
+    t = AffineTorus(3, 32)
+    a = 0.45
+    g = sin_metric(t, a, axis=1)
+    res = find_gauduchon_factor(g)
+    assert res.q_residual <= 1e-8
+    assert res.kernel_gap > 1e-6
+    # c^{-1} g is flat, so phi c^{n-1} is constant
+    c = 1.0 + a * np.sin(2 * np.pi * t.coordinate(1))
+    product = res.factor * c**2
+    assert (product.max() - product.min()) / product.mean() <= 1e-8
+
+
+def test_factor_deterministic():
+    t = AffineTorus(3, 8)
+    g = sin_metric(t, 0.4, axis=2)
+    a, b = find_gauduchon_factor(g), find_gauduchon_factor(g)
+    assert np.array_equal(a.factor, b.factor)
+    assert (a.kernel_gap, a.q_residual, a.iterations) == \
+        (b.kernel_gap, b.q_residual, b.iterations)
