@@ -15,6 +15,10 @@ correction terms
     (d_k F)_gauge = D_k F_gauge + [B_k, F_gauge],
     (d_k H)_gauge = D_k H_gauge - B_k^dag H_gauge - H_gauge B_k.
 
+End(E)-valued forms (connections, curvatures, del_0 of endomorphism fields)
+are ``forms.Form`` objects that carry the bundle; the Dolbeault operators
+apply the first correction to them, and ``d_herm`` applies the second.
+
 The flat frame is materialized only at the edges (I/O, wrap-semantics checks).
 This storage also keeps the exponentially separated eigenvalue scales of
 blow-up states from mixing additively, which matters once |log f| gets large.
@@ -28,13 +32,12 @@ K = g^{ij} Omega_{ij}, and c_1 = -del delbar log det H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NonCommuting, NonHPD, NotAProjection, Singular, ValidationError
-from .forms import Form, _derivative_table, dolbeault_del, dolbeault_delbar, MetricField
+from .forms import Form, MetricField, dolbeault_del, dolbeault_delbar, trace_g
 from .torus import AffineTorus
 
 
@@ -167,13 +170,6 @@ class GaugeData:
 # derivatives of twisted fields (gauge representation)
 # ---------------------------------------------------------------------------
 
-def d_end(bundle: FlatBundle, torus: AffineTorus, F: np.ndarray, axis: int) -> np.ndarray:
-    """Flat-frame d/dx^axis of an endomorphism field, in the gauge."""
-    B = bundle.logs[axis]
-    dF = torus.partial(F, axis)
-    return dF + B @ F - F @ B
-
-
 def d_herm(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray, axis: int) -> np.ndarray:
     """Flat-frame d/dx^axis of a bundle metric field, in the gauge."""
     B = bundle.logs[axis]
@@ -213,68 +209,6 @@ def shift_equivariant(bundle: FlatBundle, torus: AffineTorus, values: np.ndarray
         else:
             out[slab] = np.conj(rho.T) @ out[slab] @ rho
     return out
-
-
-# ---------------------------------------------------------------------------
-# bundle-valued forms
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EndForm:
-    """End(E)-valued (p,q)-form; coefficients in the periodic gauge."""
-
-    torus: AffineTorus
-    bundle: FlatBundle
-    p: int
-    q: int
-    coeffs: np.ndarray  # grid + (C(n,p), C(n,q), r, r)
-
-    def __post_init__(self):
-        n, r = self.torus.dim, self.bundle.rank
-        want = self.torus.grid_shape + (comb(n, self.p), comb(n, self.q), r, r)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != want:
-            raise ValidationError(f"EndForm shape {self.coeffs.shape} != {want}")
-
-    @classmethod
-    def zero(cls, torus, bundle, p, q) -> "EndForm":
-        n, r = torus.dim, bundle.rank
-        return cls(torus, bundle, p, q,
-                   torus.zeros(comb(n, p), comb(n, q), r, r))
-
-    def __add__(self, other):
-        return EndForm(self.torus, self.bundle, self.p, self.q,
-                       self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return EndForm(self.torus, self.bundle, self.p, self.q,
-                       self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return EndForm(self.torus, self.bundle, self.p, self.q, -self.coeffs)
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
-
-def end_delbar(ef: EndForm) -> EndForm:
-    """delbar on bundle-valued forms; sign (-1)^p as in the scalar case."""
-    n, p, q = ef.torus.dim, ef.p, ef.q
-    if q >= n:
-        return EndForm.zero(ef.torus, ef.bundle, p, q)
-    sign_p = (-1) ** p
-    out = EndForm.zero(ef.torus, ef.bundle, p, q + 1)
-    for axis, j_in, j_out, sgn in _derivative_table(n, q):
-        der = d_end(ef.bundle, ef.torus, ef.coeffs[..., :, j_in, :, :], axis)
-        out.coeffs[..., :, j_out, :, :] += (0.5 * sign_p * sgn) * der
-    return out
-
-
-def end_trace_g(metric: MetricField, ef: EndForm) -> np.ndarray:
-    """g^{ij} T_{i jbar} for an End-valued (1,1)-form; EndField out."""
-    if (ef.p, ef.q) != (1, 1):
-        raise ValidationError("end_trace_g needs an End-valued (1,1)-form")
-    return np.einsum("...ij,...ijab->...ab", metric.inv, ef.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +281,13 @@ def log_metric_decomposition(bundle: FlatBundle, torus: AffineTorus,
     return LogMetricDecomposition(bundle.det_twist_slopes(), logdet.real)
 
 
+def end_delbar(ef: Form) -> Form:
+    """delbar of an End-valued form (the matvec path's entry point)."""
+    return dolbeault_delbar(ef)
+
+
 def hermitian_connection(bundle: FlatBundle, torus: AffineTorus,
-                         H: np.ndarray) -> EndForm:
+                         H: np.ndarray) -> Form:
     """Connection form theta = h^{-1} del h as an End-valued (1,0)-form.
 
     Rank one uses theta = del log h through the log-metric decomposition,
@@ -356,7 +295,7 @@ def hermitian_connection(bundle: FlatBundle, torus: AffineTorus,
     """
     check_hpd(H)
     n, r = torus.dim, bundle.rank
-    out = EndForm.zero(torus, bundle, 1, 0)
+    out = Form.zero(torus, 1, 0, bundle)
     if r == 1:
         dec = log_metric_decomposition(bundle, torus, H)
         for k in range(n):
@@ -373,7 +312,7 @@ def hermitian_connection(bundle: FlatBundle, torus: AffineTorus,
 
 
 def extended_curvature(bundle: FlatBundle, torus: AffineTorus,
-                       H: np.ndarray) -> EndForm:
+                       H: np.ndarray) -> Form:
     """Curvature Omega = delbar theta, an End-valued (1,1)-form."""
     return end_delbar(hermitian_connection(bundle, torus, H))
 
@@ -381,7 +320,7 @@ def extended_curvature(bundle: FlatBundle, torus: AffineTorus,
 def mean_curvature(metric: MetricField, bundle: FlatBundle, torus: AffineTorus,
                    H: np.ndarray) -> np.ndarray:
     """Extended mean curvature K = g^{ij} R_{ij}; EndField (gauge)."""
-    return end_trace_g(metric, extended_curvature(bundle, torus, H))
+    return trace_g(metric, extended_curvature(bundle, torus, H))
 
 
 def first_chern_form(bundle: FlatBundle, torus: AffineTorus,
@@ -397,24 +336,21 @@ def first_chern_form(bundle: FlatBundle, torus: AffineTorus,
     return -dolbeault_del(dolbeault_delbar(u))
 
 
-def covariant_del0(bundle: FlatBundle, torus: AffineTorus, theta0: EndForm,
-                   phi: np.ndarray) -> EndForm:
+def covariant_del0(bundle: FlatBundle, torus: AffineTorus, theta0: Form,
+                   phi: np.ndarray) -> Form:
     """del_0 phi = del phi + [theta_0, phi] for an endomorphism field phi."""
     if (theta0.p, theta0.q) != (1, 0):
         raise ValidationError("theta0 must be an End-valued (1,0)-form")
-    n = torus.dim
-    out = EndForm.zero(torus, bundle, 1, 0)
-    for k in range(n):
+    out = dolbeault_del(Form.from_end(torus, bundle, phi))
+    for k in range(torus.dim):
         th = theta0.coeffs[..., k, 0, :, :]
-        out.coeffs[..., k, 0, :, :] = (
-            0.5 * d_end(bundle, torus, phi, k) + th @ phi - phi @ th
-        )
+        out.coeffs[..., k, 0, :, :] = out.coeffs[..., k, 0, :, :] + th @ phi - phi @ th
     return out
 
 
 def second_fundamental_form(bundle: FlatBundle, torus: AffineTorus,
                             H: np.ndarray, pi: np.ndarray,
-                            tol: float = 1e-8) -> EndForm:
+                            tol: float = 1e-8) -> Form:
     """A = (I - pi) del_0 pi for an h-orthogonal projection field pi.
 
     Vanishes exactly when the h-orthogonal complement of the image is flat.
@@ -433,10 +369,7 @@ def second_fundamental_form(bundle: FlatBundle, torus: AffineTorus,
     theta = hermitian_connection(bundle, torus, H)
     d0pi = covariant_del0(bundle, torus, theta, pi)
     comp = eye - pi
-    out = EndForm.zero(torus, bundle, 1, 0)
-    for k in range(torus.dim):
-        out.coeffs[..., k, 0, :, :] = comp @ d0pi.coeffs[..., k, 0, :, :]
-    return out
+    return Form(torus, 1, 0, comp[..., None, None, :, :] @ d0pi.coeffs, bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +486,7 @@ class HermCalculus:
     def sup_norm(self, F: np.ndarray) -> float:
         return float(self.norm(F).max())
 
-    def form_norm_sq(self, metric: MetricField, a: EndForm) -> np.ndarray:
+    def form_norm_sq(self, metric: MetricField, a: Form) -> np.ndarray:
         """|a|^2 = g^{ij} tr(a_i a_j^*) for an End-valued (1,0)-form."""
         if (a.p, a.q) != (1, 0):
             raise ValidationError("form_norm_sq expects a (1,0) End-form")

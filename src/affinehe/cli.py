@@ -188,14 +188,21 @@ def cmd_destabilize(cfg: RunConfig, state_dir: str) -> int:
     torus, metric, bundle, out = _prepare(cfg)
     gG = find_gauduchon_factor(metric).metric
     state = Path(state_dir if state_dir else cfg.out_dir)
-    fdim, fN, tag, rank, f_flat = load_field(state / "blowup_f.txt")
-    hdim, hN, htag, hrank, h_flat = load_field(state / "background_h0.txt")
-    if (fdim, fN) != (torus.dim, torus.resolution) or tag != "endo":
-        raise errors.ValidationError("blow-up state does not match the config grid")
+
+    def load(name, kind):
+        dim, N, tag, rank, values = load_field(state / name)
+        if (tag, dim, N, rank) != (kind, torus.dim, torus.resolution, bundle.rank):
+            raise errors.ValidationError(
+                f"{name} holds a {tag} field of rank {rank} on T^{dim} N={N}; the "
+                f"config needs a {kind} field of rank {bundle.rank} on "
+                f"T^{torus.dim} N={torus.resolution}")
+        return values
+
     gauge = bundle.gauge(torus)
     return _destabilize_state(cfg, torus, gG, bundle,
-                              gauge.end_to_gauge(f_flat),
-                              gauge.herm_to_gauge(h_flat), out)
+                              gauge.end_to_gauge(load("blowup_f.txt", "endo")),
+                              gauge.herm_to_gauge(load("background_h0.txt", "hermitian")),
+                              out)
 
 
 def cmd_selftest(cfg: RunConfig) -> int:

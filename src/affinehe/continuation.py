@@ -19,17 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .bundle import (
-    EndForm,
     FlatBundle,
     HermCalculus,
     canonical_metric,
     covariant_del0,
     end_delbar,
-    end_trace_g,
     hermitian_connection,
     hermitize,
     mean_curvature,
@@ -41,8 +38,8 @@ from .errors import (
     PoissonSolveFailed,
     ValidationError,
 )
-from .forms import MetricField, laplacian_type
-from .gauduchon import pairing
+from .forms import Form, MetricField, laplacian_type, trace_g
+from .gauduchon import _operator, pairing
 from .stability import degree
 from .torus import AffineTorus
 
@@ -67,6 +64,20 @@ def einstein_constant(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
     return gamma
 
 
+def laplacian_symbol(gG: MetricField) -> np.ndarray:
+    """pi^2 gbar^{ij} k_i k_j, the Fourier symbol of -tr_g del delbar with
+    g^{-1} frozen at its grid mean (integer wavenumbers k)."""
+    torus = gG.torus
+    n = torus.dim
+    gbar = gG.inv.reshape(-1, n, n).mean(axis=0).real
+    freqs = np.meshgrid(*(torus._freq for _ in range(n)), indexing="ij")
+    lap = np.zeros(torus.grid_shape)
+    for i in range(n):
+        for j in range(n):
+            lap += (np.pi**2) * gbar[i, j] * freqs[i] * freqs[j]
+    return lap
+
+
 def solve_scalar_elliptic(gG: MetricField, rhs: np.ndarray, tol: float = 1e-12,
                           maxiter: int = 400) -> tuple[np.ndarray, float]:
     """Solve tr_g del delbar rho = rhs for a periodic scalar field.
@@ -76,34 +87,17 @@ def solve_scalar_elliptic(gG: MetricField, rhs: np.ndarray, tol: float = 1e-12,
     Krylov iterates.  Returns (rho, achieved sup residual).
     """
     torus = gG.torus
-    n, N = torus.dim, torus.resolution
-    shape = torus.grid_shape
+    N = torus.resolution
     rhs = np.asarray(rhs, dtype=complex)
     scale = max(np.abs(rhs).max(), 1e-30)
 
-    gbar = gG.inv.reshape(-1, n, n).mean(axis=0).real
-    freqs = np.meshgrid(*(torus._freq for _ in range(n)), indexing="ij")
-    mult = np.zeros(shape)
-    for i in range(n):
-        for j in range(n):
-            mult -= (np.pi**2) * gbar[i, j] * freqs[i] * freqs[j]
+    mult = -laplacian_symbol(gG)
     mult[mult == 0.0] = 1.0
-
-    def op(v):
-        rho = v.reshape(shape)
-        out = laplacian_type(gG, rho) + rho.mean()
-        return out.ravel()
-
-    def prec(v):
-        rho = v.reshape(shape)
-        out = np.fft.ifftn(np.fft.fftn(rho) / mult)
-        return out.ravel()
-
-    A = spla.LinearOperator((torus.n_points,) * 2, matvec=op, dtype=complex)
-    M = spla.LinearOperator((torus.n_points,) * 2, matvec=prec, dtype=complex)
+    A = _operator(torus, lambda rho: laplacian_type(gG, rho) + rho.mean())
+    M = _operator(torus, lambda rho: np.fft.ifftn(np.fft.fftn(rho) / mult))
     x, info = spla.lgmres(A, rhs.ravel(), M=M, rtol=tol, atol=tol * scale,
                           maxiter=maxiter)
-    rho = x.reshape(shape)
+    rho = x.reshape(torus.grid_shape)
     rho -= rho.mean()
     achieved = float(np.abs(laplacian_type(gG, rho) - rhs).max())
     # fd consistency floor: the discrete range misses rhs by O(N^-2)
@@ -179,21 +173,15 @@ class ContinuationProblem:
         self.K0 = mean_curvature(gG, bundle, torus, H0)
         self.eye = np.eye(bundle.rank)
         self.K0_shift = self.K0 - gamma * self.eye
-        self._freqs = np.meshgrid(*(torus._freq for _ in range(torus.dim)),
-                                  indexing="ij")
-        gbar = gG.inv.reshape(-1, torus.dim, torus.dim).mean(axis=0).real
-        lap = np.zeros(torus.grid_shape)
-        for i in range(torus.dim):
-            for j in range(torus.dim):
-                lap += (np.pi**2) * gbar[i, j] * self._freqs[i] * self._freqs[j]
-        self._principal_symbol = lap  # symbol of tr_g delbar del_0 at f = I
+        # symbol of -tr_g delbar del_0 at f = I
+        self._principal_symbol = laplacian_symbol(gG)
 
     # -- residual ----------------------------------------------------------
     def curvature_change(self, f: np.ndarray) -> np.ndarray:
         """tr_g delbar (f^{-1} del_0 f); exactly linear in log f at rank 1."""
         bundle, torus = self.bundle, self.torus
         n = torus.dim
-        a = EndForm.zero(torus, bundle, 1, 0)
+        a = Form.zero(torus, 1, 0, bundle)
         if self.rank == 1:
             v = np.log(np.maximum(f[..., 0, 0].real, 1e-300)).astype(complex)
             for k in range(n):
@@ -203,7 +191,7 @@ class ContinuationProblem:
             d0f = covariant_del0(bundle, torus, self.theta0, f)
             for k in range(n):
                 a.coeffs[..., k, 0, :, :] = finv @ d0f.coeffs[..., k, 0, :, :]
-        return end_trace_g(self.gG, end_delbar(a))
+        return trace_g(self.gG, end_delbar(a))
 
     def residual(self, f: np.ndarray, eps: float) -> np.ndarray:
         """L_eps(f) as an endomorphism field (gauge storage)."""
@@ -243,7 +231,7 @@ class ContinuationProblem:
                            eps: float) -> np.ndarray:
         """Directional derivative of L_eps at f in direction phi (analytic)."""
         bundle, torus, n = self.bundle, self.torus, self.torus.dim
-        a = EndForm.zero(torus, bundle, 1, 0)
+        a = Form.zero(torus, 1, 0, bundle)
         if self.rank == 1:
             # d/dt log(f + t phi) = phi / f for positive scalars
             v = (phi[..., 0, 0] / f[..., 0, 0]).astype(complex)
@@ -258,7 +246,7 @@ class ContinuationProblem:
                 a.coeffs[..., k, 0, :, :] = (
                     -finv @ phi @ finv @ dk + finv @ d0phi.coeffs[..., k, 0, :, :]
                 )
-        out = end_trace_g(self.gG, end_delbar(a))
+        out = trace_g(self.gG, end_delbar(a))
         if eps != 0.0:
             out = out + eps * self.calc0.dlog(f, phi)
         return out
@@ -286,7 +274,7 @@ class ContinuationProblem:
     def principal_term(self, phi: np.ndarray) -> np.ndarray:
         """tr_g delbar del_0 phi, the second-order part of the linearization."""
         d0phi = covariant_del0(self.bundle, self.torus, self.theta0, phi)
-        return end_trace_g(self.gG, end_delbar(d0phi))
+        return trace_g(self.gG, end_delbar(d0phi))
 
     # -- inner linear solves -------------------------------------------------
     def _precondition(self, v: np.ndarray, eps: float) -> np.ndarray:
@@ -493,6 +481,15 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
     return state
 
 
+def _K_defect(gG: MetricField, bundle: FlatBundle, torus: AffineTorus,
+              H: np.ndarray, gamma: float) -> float:
+    """sup_x Frobenius norm of K(h) - gamma I for a gauge-stored metric."""
+    D = mean_curvature(gG, bundle, torus, H) - gamma * np.eye(bundle.rank)
+    return float(np.sqrt(np.abs(
+        np.einsum("...ab,...ba->...", D, np.conj(np.swapaxes(D, -1, -2)))
+    )).max())
+
+
 def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
                      h0_prime: np.ndarray | None = None,
                      factor: float = DEFAULT_FACTOR,
@@ -566,14 +563,7 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
                 drifted = st0.m - m_before > 0.5
                 if st0.converged and not drifted and st0.m <= 0.5 * m_max:
                     Hfin = hermitize(H0 @ st0.f)
-                    K = mean_curvature(gG, bundle, torus, Hfin)
-                    Kdef = float(
-                        np.sqrt(np.abs(
-                            np.einsum("...ab,...ba->...", K - gamma * problem.eye,
-                                      np.conj(np.swapaxes(
-                                          K - gamma * problem.eye, -1, -2)))
-                        )).max()
-                    )
+                    Kdef = _K_defect(gG, bundle, torus, Hfin, gamma)
                     return HEResult("converged", Hfin, gamma, Kdef, None, history,
                                     H0, norm_diag | {"final_f": st0.f,
                                                      "residual": st0.residual})
@@ -672,8 +662,4 @@ def he_K_defect(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     ec = bundle if bundle.field == "complex" else FlatBundle(
         [m.astype(complex) for m in bundle.monodromy], "complex")
     Hg = ec.gauge(torus).herm_to_gauge(np.asarray(H_flat, dtype=complex))
-    K = mean_curvature(gG, ec, torus, Hg)
-    D = K - gamma * np.eye(ec.rank)
-    return float(np.sqrt(np.abs(
-        np.einsum("...ab,...ba->...", D, np.conj(np.swapaxes(D, -1, -2)))
-    )).max())
+    return _K_defect(gG, ec, torus, Hg, gamma)

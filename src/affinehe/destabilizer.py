@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import (
-    EndForm,
     FlatBundle,
     HermCalculus,
     covariant_del0,
-    d_end,
     hermitian_connection,
     mean_curvature,
 )
@@ -31,7 +29,7 @@ from .errors import (
     SlopeInequalityViolated,
     ValidationError,
 )
-from .forms import MetricField
+from .forms import Form, MetricField, dolbeault_delbar
 from .stability import (
     FlatSubbundle,
     enumerate_flat_subbundles,
@@ -145,13 +143,10 @@ def validate_projection(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
     d_pi2 = supfro(pi @ pi - pi)
     d_adj = supfro(calc.adjoint(pi) - pi)
 
-    dbar = EndForm.zero(torus, bundle, 0, 1)
-    for kax in range(torus.dim):
-        dbar.coeffs[..., 0, kax, :, :] = 0.5 * d_end(bundle, torus, pi, kax)
+    dbar = dolbeault_delbar(Form.from_end(torus, bundle, pi))
     comp = np.eye(r) - pi
-    d_dbar = 0.0
-    for kax in range(torus.dim):
-        d_dbar = max(d_dbar, supfro(comp @ dbar.coeffs[..., 0, kax, :, :]))
+    d_dbar = max(0.0, *(supfro(comp @ dbar.coeffs[..., 0, kax, :, :])
+                        for kax in range(torus.dim)))
 
     # image subbundle in the flat frame: orthogonal projector onto im(pi)
     pi_flat = bundle.gauge(torus).end_to_flat(pi)

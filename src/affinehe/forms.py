@@ -1,17 +1,22 @@
-"""Scalar-valued (p,q)-forms on the discrete affine torus.
+"""(p,q)-forms on the discrete affine torus, scalar or End(E)-valued.
 
 A (p,q)-form is stored densely as a complex array of shape
-``grid_shape + (C(n,p), C(n,q))`` over increasing multi-indices.  The two
-Dolbeault operators act by
+``grid_shape + (C(n,p), C(n,q)) + value_shape`` over increasing
+multi-indices.  ``value_shape`` is ``()`` for scalar forms and ``(r, r)``
+for End(E)-valued forms of a rank-r flat bundle, whose coefficients live in
+the bundle's periodic gauge.  The two Dolbeault operators act by
 
     del    = (1/2) (d (x) I)          on the first slot,
     delbar = (-1)^p (1/2) (I (x) d)   on the second slot,
 
-the wedge product carries the sign (-1)^{q1 p2} in front of the slot-wise
-exterior products, and conjugation maps a (p,q)-form to a (q,p)-form with
-the sign (-1)^{pq}.  Division of an (n,n)-form by the parallel volume form
-uses the sign (-1)^{n(n-1)/2}, which makes omega_g^n / nu positive for
-positive definite g.
+where d_k is the grid partial for scalar forms and the flat-frame
+derivative D_k F + [B_k, F] (B_k = log rho_k) for End-valued ones.
+
+On scalar forms, the wedge product carries the sign (-1)^{q1 p2} in front
+of the slot-wise exterior products, and conjugation maps a (p,q)-form to a
+(q,p)-form with the sign (-1)^{pq}.  Division of an (n,n)-form by the
+parallel volume form uses the sign (-1)^{n(n-1)/2}, which makes
+omega_g^n / nu positive for positive definite g.
 """
 
 from __future__ import annotations
@@ -87,20 +92,27 @@ def _wedge_table(n: int, pa: int, qa: int, pb: int, qb: int):
     return tuple(table)
 
 
+def _value_shape(bundle) -> tuple[int, ...]:
+    return () if bundle is None else (bundle.rank,) * 2
+
+
 @dataclass
 class Form:
-    """Scalar-valued (p,q)-form with dense increasing-multi-index storage."""
+    """(p,q)-form with dense increasing-multi-index storage; End(E)-valued
+    (in the periodic gauge) when ``bundle`` is given."""
 
     torus: AffineTorus
     p: int
     q: int
-    coeffs: np.ndarray  # grid_shape + (C(n,p), C(n,q)), complex
+    coeffs: np.ndarray  # grid_shape + (C(n,p), C(n,q)) + value_shape, complex
+    bundle: object = None  # FlatBundle of the End(E) values, or None
 
     def __post_init__(self):
         n = self.torus.dim
         if not (0 <= self.p <= n and 0 <= self.q <= n):
             raise ValidationError(f"degree ({self.p},{self.q}) out of range for n={n}")
-        want = self.torus.grid_shape + (comb(n, self.p), comb(n, self.q))
+        want = (self.torus.grid_shape + (comb(n, self.p), comb(n, self.q))
+                + _value_shape(self.bundle))
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != want:
             raise ValidationError(
@@ -108,45 +120,70 @@ class Form:
             )
 
     @classmethod
-    def zero(cls, torus: AffineTorus, p: int, q: int) -> "Form":
+    def zero(cls, torus: AffineTorus, p: int, q: int, bundle=None) -> "Form":
         n = torus.dim
-        return cls(torus, p, q, torus.zeros(comb(n, p), comb(n, q)))
+        return cls(torus, p, q,
+                   torus.zeros(comb(n, p), comb(n, q), *_value_shape(bundle)), bundle)
 
     @classmethod
     def from_scalar(cls, torus: AffineTorus, values: np.ndarray) -> "Form":
         return cls(torus, 0, 0, np.asarray(values, dtype=complex)[..., None, None])
 
+    @classmethod
+    def from_end(cls, torus: AffineTorus, bundle, F: np.ndarray) -> "Form":
+        """The End-valued (0,0)-form of a gauge-stored endomorphism field."""
+        return cls(torus, 0, 0, np.asarray(F, dtype=complex)[..., None, None, :, :],
+                   bundle)
+
     def scalar(self) -> np.ndarray:
-        if (self.p, self.q) != (0, 0):
-            raise ValidationError("scalar() only defined for (0,0)-forms")
+        if (self.p, self.q) != (0, 0) or self.bundle is not None:
+            raise ValidationError("scalar() only defined for scalar (0,0)-forms")
         return self.coeffs[..., 0, 0]
+
+    def _new(self, coeffs: np.ndarray) -> "Form":
+        return Form(self.torus, self.p, self.q, coeffs, self.bundle)
 
     def __add__(self, other: "Form") -> "Form":
         self._same_degree(other)
-        return Form(self.torus, self.p, self.q, self.coeffs + other.coeffs)
+        return self._new(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Form") -> "Form":
         self._same_degree(other)
-        return Form(self.torus, self.p, self.q, self.coeffs - other.coeffs)
+        return self._new(self.coeffs - other.coeffs)
 
     def __mul__(self, c) -> "Form":
         # scalar constant or pointwise scalar field
         c = np.asarray(c)
         if c.ndim > 0:
-            c = c[..., None, None]
-        return Form(self.torus, self.p, self.q, self.coeffs * c)
+            c = c.reshape(c.shape + (1,) * (self.coeffs.ndim - c.ndim))
+        return self._new(self.coeffs * c)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Form":
-        return Form(self.torus, self.p, self.q, -self.coeffs)
+        return self._new(-self.coeffs)
 
     def _same_degree(self, other: "Form"):
-        if (self.p, self.q) != (other.p, other.q) or self.torus is not other.torus:
+        if ((self.p, self.q) != (other.p, other.q) or self.torus is not other.torus
+                or self.bundle is not other.bundle):
             raise ValidationError("forms live on different spaces or degrees")
 
     def sup_norm(self) -> float:
         return float(np.abs(self.coeffs).max())
+
+
+def _require_scalar(*forms: Form):
+    if any(f.bundle is not None for f in forms):
+        raise ValidationError("operation defined for scalar forms only")
+
+
+def _flat_partial(omega: Form, values: np.ndarray, axis: int) -> np.ndarray:
+    """Flat-frame d/dx^axis of coefficient values of omega."""
+    d = omega.torus.partial(values, axis)
+    if omega.bundle is None:
+        return d
+    B = omega.bundle.logs[axis]
+    return d + B @ values - values @ B
 
 
 def dolbeault_del(omega: Form) -> Form:
@@ -154,11 +191,12 @@ def dolbeault_del(omega: Form) -> Form:
     n, p, q = omega.torus.dim, omega.p, omega.q
     if p >= n:
         warnings.warn("del of a top-degree form vanishes identically")
-        return Form.zero(omega.torus, p, q)
-    out = Form.zero(omega.torus, p + 1, q)
+        return Form.zero(omega.torus, p, q, omega.bundle)
+    grid = (slice(None),) * n
+    out = Form.zero(omega.torus, p + 1, q, omega.bundle)
     for axis, i_in, i_out, sgn in _derivative_table(n, p):
-        out.coeffs[..., i_out, :] += (0.5 * sgn) * omega.torus.partial(
-            omega.coeffs[..., i_in, :], axis
+        out.coeffs[grid + (i_out,)] += (0.5 * sgn) * _flat_partial(
+            omega, omega.coeffs[grid + (i_in,)], axis
         )
     return out
 
@@ -168,18 +206,20 @@ def dolbeault_delbar(omega: Form) -> Form:
     n, p, q = omega.torus.dim, omega.p, omega.q
     if q >= n:
         warnings.warn("delbar of a top-degree form vanishes identically")
-        return Form.zero(omega.torus, p, q)
+        return Form.zero(omega.torus, p, q, omega.bundle)
     sign_p = (-1) ** p
-    out = Form.zero(omega.torus, p, q + 1)
+    grid = (slice(None),) * n
+    out = Form.zero(omega.torus, p, q + 1, omega.bundle)
     for axis, j_in, j_out, sgn in _derivative_table(n, q):
-        out.coeffs[..., :, j_out] += (0.5 * sign_p * sgn) * omega.torus.partial(
-            omega.coeffs[..., :, j_in], axis
+        out.coeffs[grid + (slice(None), j_out)] += (0.5 * sign_p * sgn) * _flat_partial(
+            omega, omega.coeffs[grid + (slice(None), j_in)], axis
         )
     return out
 
 
 def wedge(a: Form, b: Form) -> Form:
     """(phi1 (x) psi1) ^ (phi2 (x) psi2) = (-1)^{q1 p2} (phi1^phi2) (x) (psi1^psi2)."""
+    _require_scalar(a, b)
     if a.torus is not b.torus:
         raise ValidationError("wedge of forms on different tori")
     n = a.torus.dim
@@ -195,6 +235,7 @@ def wedge(a: Form, b: Form) -> Form:
 
 def conjugate_form(omega: Form) -> Form:
     """conj(alpha (x) beta) = (-1)^{pq} conj(beta) (x) conj(alpha): (p,q) -> (q,p)."""
+    _require_scalar(omega)
     sign = (-1) ** (omega.p * omega.q)
     coeffs = sign * np.conj(np.swapaxes(omega.coeffs, -1, -2))
     return Form(omega.torus, omega.q, omega.p, coeffs)
@@ -202,6 +243,7 @@ def conjugate_form(omega: Form) -> Form:
 
 def div_by_nu(chi: Form) -> np.ndarray:
     """Divide an (n,n)-form by the parallel volume form; scalar field out."""
+    _require_scalar(chi)
     n = chi.torus.dim
     if (chi.p, chi.q) != (n, n):
         raise ValidationError(f"div_by_nu needs degree ({n},{n}), got ({chi.p},{chi.q})")
@@ -288,10 +330,11 @@ class MetricField:
 
 
 def trace_g(metric: MetricField, T: Form) -> np.ndarray:
-    """g^{ij} T_{i jbar} for a scalar (1,1)-form; pointwise scalar field."""
+    """g^{ij} T_{i jbar} for a (1,1)-form; pointwise values (scalar or End)."""
     if (T.p, T.q) != (1, 1):
         raise ValidationError(f"trace_g needs a (1,1)-form, got ({T.p},{T.q})")
-    return np.einsum("...ij,...ij->...", metric.inv, T.coeffs)
+    v = "" if T.bundle is None else "ab"
+    return np.einsum(f"...ij,...ij{v}->...{v}", metric.inv, T.coeffs)
 
 
 def laplacian_type(metric: MetricField, psi: np.ndarray) -> np.ndarray:

@@ -416,9 +416,7 @@ def slope(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
 
 
 def subbundle_bundle(bundle: FlatBundle, F: FlatSubbundle) -> FlatBundle:
-    field = bundle.field if bundle.field == "complex" else "complex"
-    mats = induced_monodromy(bundle, F)
-    return FlatBundle(mats, field)
+    return FlatBundle(induced_monodromy(bundle, F), "complex")
 
 
 def induced_metric(bundle: FlatBundle, F: FlatSubbundle,

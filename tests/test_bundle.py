@@ -18,7 +18,7 @@ from affinehe.bundle import (
     second_fundamental_form,
     shift_equivariant,
 )
-from affinehe.errors import NonCommuting, NotAProjection, Singular
+from affinehe.errors import NonCommuting, NotAProjection, Singular, ValidationError
 from affinehe.forms import Form, MetricField, dolbeault_del, dolbeault_delbar, wedge, div_by_nu
 from affinehe.torus import AffineTorus, random_smooth_scalar
 
@@ -331,6 +331,70 @@ def test_second_fundamental_form_rejects_non_projection(t64, rng):
     bad = random_hermitian_metric(b, t64, rng)
     with pytest.raises(NotAProjection):
         second_fundamental_form(b, t64, H, bad)
+
+
+# ---------------------------------------------------------------------------
+# End(E)-valued forms
+# ---------------------------------------------------------------------------
+
+def _random_end_field(t, rng, r=2):
+    return np.stack([random_smooth_scalar(t, rng) for _ in range(r * r)],
+                    axis=-1).reshape(t.grid_shape + (r, r))
+
+
+def test_end_form_derivative_adds_ad_B(rng):
+    # non-trivial commuting monodromy on T^2: flat-frame derivative in the gauge
+    t = AffineTorus(2, 16)
+    b = build_bundle([UNIPOTENT, np.array([[2.0, 1.0], [0.0, 2.0]])])
+    F = _random_end_field(t, rng)
+    d = dolbeault_del(Form.from_end(t, b, F))
+    dbar = dolbeault_delbar(Form.from_end(t, b, F))
+    assert (d.p, d.q, dbar.p, dbar.q) == (1, 0, 0, 1)
+    assert d.bundle is b and dbar.bundle is b
+    for k in range(2):
+        B = b.logs[k]
+        assert np.abs(B).max() > 0.1
+        expect = 0.5 * (t.partial(F, k) + B @ F - F @ B)
+        assert np.abs(d.coeffs[..., k, 0, :, :] - expect).max() < 1e-12
+        assert np.abs(dbar.coeffs[..., 0, k, :, :] - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("p,q", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_end_form_trivial_monodromy_is_entrywise_scalar(p, q, rng):
+    t = AffineTorus(2, 12)
+    b = build_bundle([np.eye(2), np.eye(2)])
+    shape = t.grid_shape + (2 if p else 1, 2 if q else 1, 2, 2)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    omega = Form(t, p, q, coeffs, b)
+    for op in (dolbeault_del, dolbeault_delbar):
+        out = op(omega)
+        assert out.bundle is b
+        for a in range(2):
+            for c in range(2):
+                scalar = op(Form(t, p, q, coeffs[..., a, c]))
+                assert np.abs(out.coeffs[..., a, c] - scalar.coeffs).max() < 1e-12
+
+
+def test_end_form_value_axes_must_match_rank(t64):
+    b = build_bundle([UNIPOTENT])
+    with pytest.raises(ValidationError):
+        Form(t64, 0, 0, np.zeros((64, 1, 1, 3, 3)), b)
+    with pytest.raises(ValidationError):
+        Form(t64, 0, 0, np.zeros((64, 1, 1)), b)
+    with pytest.raises(ValidationError):
+        Form(t64, 0, 0, np.zeros((64, 1, 1, 2, 2)))
+    with pytest.raises(ValidationError):
+        wedge(Form.zero(t64, 1, 0, b), Form.zero(t64, 0, 1, b))
+
+
+def test_end_forms_of_different_bundles_do_not_add(t64):
+    b1 = build_bundle([UNIPOTENT])
+    b2 = build_bundle([UNIPOTENT])
+    assert (Form.zero(t64, 1, 0, b1) + Form.zero(t64, 1, 0, b1)).bundle is b1
+    with pytest.raises(ValidationError):
+        Form.zero(t64, 1, 0, b1) + Form.zero(t64, 1, 0, b2)
+    with pytest.raises(ValidationError):
+        Form.zero(t64, 1, 0, b1) - Form.zero(t64, 1, 0, b2)
 
 
 # ---------------------------------------------------------------------------

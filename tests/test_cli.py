@@ -131,6 +131,25 @@ def test_cli_destabilize_from_dumped_state(tmp_path):
     assert dest["rank"] == 1
 
 
+@pytest.mark.parametrize("h_grid,rank", [(8, 2), (16, 3)])
+def test_cli_destabilize_rejects_mismatched_state(tmp_path, capsys, h_grid, rank):
+    # a background dumped on another grid, or a state of another rank
+    p = write(tmp_path / "c.ini", BASE.format(
+        N=16, rank=2, field="complex", monodromy="monodromy1 = 1 1 0 1",
+        out=tmp_path / "out"))
+    state = tmp_path / "state"
+    state.mkdir()
+    for name, tag, N in (("blowup_f.txt", "endo", 16),
+                         ("background_h0.txt", "hermitian", h_grid)):
+        t = AffineTorus(1, N)
+        dump_field(state / name, t,
+                   np.broadcast_to(np.eye(rank), t.grid_shape + (rank, rank)), tag)
+    assert main(["destabilize", "--config", p, "--state", str(state),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "Traceback" not in err
+
+
 def test_cli_stability_rotation(tmp_path):
     th = np.sqrt(2) * np.pi
     mono = " ".join(str(v) for v in
