@@ -290,23 +290,14 @@ def hermitian_connection(bundle: FlatBundle, torus: AffineTorus,
                          H: np.ndarray) -> Form:
     """Connection form theta = h^{-1} del h as an End-valued (1,0)-form.
 
-    Rank one uses theta = del log h through the log-metric decomposition,
-    which keeps the curvature exactly linear in log h on the grid.
+    One formula at every rank: the flat-frame derivative of the gauge-stored
+    H (``d_herm``), so at rank 1 the constant twist term -2 Re B_k is the
+    slope of log h along axis k.
     """
     check_hpd(H)
-    n, r = torus.dim, bundle.rank
     out = Form.zero(torus, 1, 0, bundle)
-    if r == 1:
-        dec = log_metric_decomposition(bundle, torus, H)
-        for k in range(n):
-            # flat-frame log h = periodic part + linear part; the linear slope
-            # -2 log|rho_k| differentiates to a constant, exactly
-            c = 0.5 * (torus.partial(dec.periodic_part.astype(complex), k)
-                       + dec.linear_part[k])
-            out.coeffs[..., k, 0, 0, 0] = c
-        return out
     Hinv = np.linalg.inv(H)
-    for k in range(n):
+    for k in range(torus.dim):
         out.coeffs[..., k, 0, :, :] = Hinv @ (0.5 * d_herm(bundle, torus, H, k))
     return out
 

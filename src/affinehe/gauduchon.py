@@ -173,10 +173,9 @@ def find_gauduchon_factor(metric: MetricField, tol: float = 1e-12,
                                q_residual=q_res, kernel_gap=np.inf,
                                already_gauduchon=True)
 
-    symbol = -_principal_symbol(metric)
-    symbol[symbol == 0.0] = 1.0          # where the mean term acts alone
+    symbol = -_principal_symbol(metric)  # zero where the mean term acts alone
     bordered = _operator(torus, lambda v: apply_Q(metric, v) + v.mean())
-    fft_inverse = _operator(torus, lambda v: np.fft.ifftn(np.fft.fftn(v) / symbol))
+    fft_inverse = _operator(torus, lambda v: torus.fft_divide(v, symbol))
     steps = []
     x, _ = spla.gmres(bordered, np.ones(torus.n_points, dtype=complex), M=fft_inverse,
                       rtol=tol, atol=0.0, restart=50, maxiter=max_cycles,

@@ -19,7 +19,7 @@ slope ties are reported as strictly semistable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def _invariant_subspaces(mats: list[np.ndarray]) -> list[np.ndarray]:
     if d == 0:
         return [np.zeros((0, 0), dtype=complex)]
     # find a matrix that splits
-    for idx, m in enumerate(mats):
+    for m in mats:
         blocks = _generalized_eigenspaces(m)
         if len(blocks) > 1:
             per_block = []
@@ -210,9 +210,6 @@ def _invariant_subspaces(mats: list[np.ndarray]) -> list[np.ndarray]:
                 subs = _invariant_subspaces(restricted)
                 per_block.append([Vb @ s for s in subs])
             # all direct sums across blocks
-            out = [np.zeros((d, 0), dtype=complex)]
-            from itertools import product
-
             combos = []
             for choice in product(*per_block):
                 cols = np.hstack(choice) if choice else np.zeros((d, 0))
@@ -299,27 +296,14 @@ def enumerate_flat_subbundles(bundle: FlatBundle, max_rank: int | None = None
 
 def commutant_dimension(mats: list[np.ndarray], real: bool = False) -> int:
     """Dimension of {X : [rho_k, X] = 0 for all k} over C (or over R)."""
-    r = mats[0].shape[0]
-    eye = np.eye(r)
-    ops = []
-    for m in mats:
-        # row-major vec: vec(m X - X m) = (m (x) I - I (x) m^T) vec(X)
-        ops.append(np.kron(m, eye) - np.kron(eye, m.T))
-    A = np.vstack(ops)
-    if real:
-        A = np.vstack([A.real, A.imag])
-        s = np.linalg.svd(A, compute_uv=False)
-        scale = max(1.0, s[0] if len(s) else 1.0)
-        return int(r * r - np.sum(s > 1e-10 * scale))
-    s = np.linalg.svd(A, compute_uv=False)
-    scale = max(1.0, s[0] if len(s) else 1.0)
-    return int(r * r - np.sum(s > 1e-10 * scale))
+    return len(commutant_basis(mats, real))
 
 
 def commutant_basis(mats: list[np.ndarray], real: bool = False) -> list[np.ndarray]:
     """Basis matrices of the commutant (real solutions if ``real``)."""
     r = mats[0].shape[0]
     eye = np.eye(r)
+    # row-major vec: vec(m X - X m) = (m (x) I - I (x) m^T) vec(X)
     A = np.vstack([np.kron(m, eye) - np.kron(eye, m.T) for m in mats])
     if real:
         A = np.vstack([A.real, A.imag])

@@ -112,6 +112,19 @@ class AffineTorus:
             return self.resolution * np.sin(2 * np.pi * self._freq / self.resolution)
         return 2 * np.pi * self._freq
 
+    def fft_divide(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        """Divide each grid Fourier mode of ``values`` by ``symbol``.
+
+        Modes where ``symbol == 0`` pass unchanged, so a preconditioner
+        built from a singular symbol (zero on the mean mode) acts as the
+        identity there instead of amplifying it.  Trailing value axes
+        broadcast.
+        """
+        axes = tuple(range(self.dim))
+        symbol = np.where(symbol == 0, 1, symbol)
+        symbol = symbol.reshape(symbol.shape + (1,) * (np.ndim(values) - self.dim))
+        return np.fft.ifftn(np.fft.fftn(values, axes=axes) / symbol, axes=axes)
+
 
 def random_smooth_scalar(torus, rng, modes: int = 3, amplitude: float = 1.0,
                          real: bool = False) -> np.ndarray:

@@ -66,6 +66,25 @@ def test_partial_axis_range():
         t.partial(np.zeros(t.grid_shape), 2)
 
 
+def test_fft_divide_zero_mode_rule(rng):
+    # symbol 4 pi^2 |k|^2 vanishes on the mean mode only: a constant plus a
+    # single Fourier mode comes back as the constant plus the mode / symbol,
+    # slot by slot over trailing (r, r) value axes
+    t = AffineTorus(2, 16)
+    x, y = t.coordinate(0), t.coordinate(1)
+    k = np.fft.fftfreq(16, d=1.0 / 16)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    symbol = 4 * np.pi**2 * (kx**2 + ky**2)
+    wave = np.exp(2j * np.pi * (x + 2 * y))
+    c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    values = (1.0 + wave)[..., None, None] * c
+    out = t.fft_divide(values, symbol)
+    expect = (1.0 + wave / (4 * np.pi**2 * 5))[..., None, None] * c
+    assert np.abs(out - expect).max() < 1e-14
+    scalar = t.fft_divide(values[..., 0, 0], symbol)
+    assert np.abs(scalar - out[..., 0, 0]).max() < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # dolbeault operators
 # ---------------------------------------------------------------------------

@@ -254,6 +254,26 @@ def test_run_polystable_block_diagonal(t64, gI, rng):
     assert max(r[3] for r in res.history) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 5, 8])
+def test_polystable_eps_zero_stage_stays_on_path(seed):
+    # at eps = 0 the linearization of a polystable bundle is singular along
+    # the commutant; the eps = 0 Newton solve must not move the metric along
+    # that kernel, so m stays where the eps-path left it
+    t = AffineTorus(1, 32)
+    g = MetricField(t, np.eye(1))
+    b = build_bundle([np.diag([2.0, 3.0])])
+    rng = np.random.default_rng(seed)
+    h0p = canonical_metric(b, t) @ random_hermitian_metric(
+        b, t, rng, amplitude=0.1, modes=1)
+    h0p = 0.5 * (h0p + np.conj(np.swapaxes(h0p, -1, -2)))
+    res = run_continuation(b, t, g, h0p)
+    assert res.status == "converged"
+    assert res.K_defect <= 1e-6
+    i = next(i for i, row in enumerate(res.history) if row[0] == 0.0)
+    assert i > 0
+    assert abs(res.history[i][2] - res.history[i - 1][2]) <= 1e-3
+
+
 def test_run_unipotent_blowup_small():
     t = AffineTorus(1, 32)
     g = MetricField(t, np.eye(1))
