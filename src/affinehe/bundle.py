@@ -378,23 +378,14 @@ class HermCalculus:
         H = np.asarray(H, dtype=complex)
         check_hpd(H)
         self.H = H
-        self._identity = bool(
-            np.abs(H - np.eye(H.shape[-1])).max() < 1e-14
-        )
-        if self._identity:
-            self.sqrt = None
-            self.isqrt = None
-        else:
-            w, U = np.linalg.eigh(hermitize(H))
-            Ud = np.conj(np.swapaxes(U, -1, -2))
-            self.sqrt = (U * np.sqrt(w)[..., None, :]) @ Ud
-            self.isqrt = (U * (1.0 / np.sqrt(w))[..., None, :]) @ Ud
+        w, U = np.linalg.eigh(hermitize(H))
+        Ud = np.conj(np.swapaxes(U, -1, -2))
+        self.sqrt = (U * np.sqrt(w)[..., None, :]) @ Ud
+        self.isqrt = (U * (1.0 / np.sqrt(w))[..., None, :]) @ Ud
 
     def adjoint(self, F: np.ndarray) -> np.ndarray:
         """h-adjoint F^* = h^{-1} F^dag h."""
         Fd = np.conj(np.swapaxes(F, -1, -2))
-        if self._identity:
-            return Fd
         return self.isqrt @ (self.isqrt @ Fd @ self.sqrt) @ self.sqrt
 
     def hermitize(self, F: np.ndarray) -> np.ndarray:
@@ -404,13 +395,9 @@ class HermCalculus:
         return float(np.abs(F - self.adjoint(F)).max())
 
     def to_hermitian(self, F: np.ndarray) -> np.ndarray:
-        if self._identity:
-            return F
         return self.sqrt @ F @ self.isqrt
 
     def from_hermitian(self, S: np.ndarray) -> np.ndarray:
-        if self._identity:
-            return S
         return self.isqrt @ S @ self.sqrt
 
     def eig(self, F: np.ndarray):

@@ -38,8 +38,8 @@ from .errors import (
     PoissonSolveFailed,
     ValidationError,
 )
-from .forms import Form, MetricField, laplacian_type, trace_g
-from .gauduchon import _operator, pairing
+from .forms import Form, MetricField, laplacian_symbol, laplacian_type, trace_g
+from .gauduchon import pairing
 from .stability import degree
 from .torus import AffineTorus
 
@@ -64,20 +64,6 @@ def einstein_constant(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
     return gamma
 
 
-def laplacian_symbol(gG: MetricField) -> np.ndarray:
-    """pi^2 gbar^{ij} k_i k_j, the Fourier symbol of -tr_g del delbar with
-    g^{-1} frozen at its grid mean (integer wavenumbers k)."""
-    torus = gG.torus
-    n = torus.dim
-    gbar = gG.inv.reshape(-1, n, n).mean(axis=0).real
-    freqs = np.meshgrid(*(torus._freq for _ in range(n)), indexing="ij")
-    lap = np.zeros(torus.grid_shape)
-    for i in range(n):
-        for j in range(n):
-            lap += (np.pi**2) * gbar[i, j] * freqs[i] * freqs[j]
-    return lap
-
-
 def solve_scalar_elliptic(gG: MetricField, rhs: np.ndarray, tol: float = 1e-12,
                           maxiter: int = 400) -> tuple[np.ndarray, float]:
     """Solve tr_g del delbar rho = rhs for a periodic scalar field.
@@ -92,8 +78,8 @@ def solve_scalar_elliptic(gG: MetricField, rhs: np.ndarray, tol: float = 1e-12,
     scale = max(np.abs(rhs).max(), 1e-30)
 
     mult = -laplacian_symbol(gG)
-    A = _operator(torus, lambda rho: laplacian_type(gG, rho) + rho.mean())
-    M = _operator(torus, lambda rho: torus.fft_divide(rho, mult))
+    A = torus.operator(lambda rho: laplacian_type(gG, rho) + rho.mean())
+    M = torus.operator(lambda rho: torus.fft_divide(rho, mult))
     x, info = spla.lgmres(A, rhs.ravel(), M=M, rtol=tol, atol=tol * scale,
                           maxiter=maxiter)
     rho = x.reshape(torus.grid_shape)
@@ -173,7 +159,7 @@ class ContinuationProblem:
         self.eye = np.eye(bundle.rank)
         self.K0_shift = self.K0 - gamma * self.eye
         # symbol of -tr_g delbar del_0 at f = I
-        self._principal_symbol = laplacian_symbol(gG)
+        self._symbol = laplacian_symbol(gG)
 
     # -- residual ----------------------------------------------------------
     def curvature_change(self, f: np.ndarray) -> np.ndarray:
@@ -267,7 +253,7 @@ class ContinuationProblem:
 
     # -- inner linear solves -------------------------------------------------
     def _precondition(self, v: np.ndarray, eps: float) -> np.ndarray:
-        return self.torus.fft_divide(v, self._principal_symbol + eps)
+        return self.torus.fft_divide(v, self._symbol + eps)
 
     def _traceless(self, s: np.ndarray) -> np.ndarray:
         """Pointwise traceless part of s.
@@ -299,40 +285,27 @@ class ContinuationProblem:
         solution path.  Raises LinearSolveStagnation when the relative
         residual stays above 0.9.
         """
-        torus, r = self.torus, self.rank
-        shape = torus.grid_shape + (r, r)
-        size = torus.n_points * r * r
+        r = self.rank
         sqf = self.calc0.sqrt_of(f)
-
-        def apply_A(svec):
-            s = self._traceless(svec.reshape(shape))
-            phi = sqf @ s @ sqf
-            return self._traceless(
-                self.linearize_residual(f, phi, eps)
-            ).ravel()
-
-        def apply_M(v):
-            return self._precondition(v.reshape(shape), eps).ravel()
-
         b = self._traceless(-L).ravel()
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
-            return np.zeros(shape, dtype=complex)
+            return np.zeros(L.shape, dtype=complex)
 
-        A = spla.LinearOperator((size, size), matvec=apply_A, dtype=complex)
-        M = spla.LinearOperator((size, size), matvec=apply_M, dtype=complex)
+        A = self.torus.operator(lambda v: self._traceless(
+            self.linearize_residual(f, sqf @ self._traceless(v) @ sqf, eps)), (r, r))
+        M = self.torus.operator(lambda v: self._precondition(v, eps), (r, r))
         with np.errstate(over="ignore", invalid="ignore"):
             x, _ = spla.lgmres(A, b, M=M, rtol=1e-8, atol=1e-8 * bnorm,
                                maxiter=60, inner_m=30)
         res = np.inf
         if np.isfinite(x).all():
-            res = np.linalg.norm(apply_A(x) - b) / bnorm
+            res = np.linalg.norm(A.matvec(x) - b) / bnorm
         if not res <= 0.9:
             raise LinearSolveStagnation(
                 f"Newton linear solve stagnated (relative residual {res:.2e})"
             )
-        s = self._traceless(self.calc0.hermitize(x.reshape(shape)))
-        return s
+        return self._traceless(self.calc0.hermitize(x.reshape(L.shape)))
 
     def renormalize_det(self, f: np.ndarray) -> np.ndarray:
         """Pointwise rescale to det f = 1 (exact projection onto the

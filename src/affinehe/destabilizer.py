@@ -40,7 +40,6 @@ from .stability import (
 from .torus import AffineTorus
 
 THETA_KEEP = 0.5
-GAP_MIN = 1e3
 DEFECT_TOL = 1e-4
 SNAP_TOL = 0.2
 SIGMA_SCHEDULE = (1.0, 0.5, 0.25, 0.125, 0.0625)
@@ -63,30 +62,32 @@ def rescaled_power(calc: HermCalculus, f: np.ndarray, sigma: float):
     return rho, fs
 
 
-def sigma_split_counts(calc: HermCalculus, f: np.ndarray,
-                       sigma_schedule=SIGMA_SCHEDULE,
-                       theta_keep: float = THETA_KEEP) -> list[int]:
+def _split_counts(lam: np.ndarray) -> list[int]:
+    """Counts of eigenvalues of rho f with lam^sigma >= THETA_KEEP along
+    SIGMA_SCHEDULE."""
+    return [int((lam**sigma >= THETA_KEEP).sum()) for sigma in SIGMA_SCHEDULE]
+
+
+def sigma_split_counts(calc: HermCalculus, f: np.ndarray) -> list[int]:
     """Kept-eigenvalue counts of (rho f)^sigma along the sigma schedule;
     stabilization of the count certifies an unambiguous spectral split."""
     w = calc.eigvals(f)
     if w.min() <= 0:
         raise NonHPD("endomorphism is not positive definite")
-    lam = np.exp(-float(np.log(w.max()))) * w
-    return [int((lam**sigma >= theta_keep).sum()) for sigma in sigma_schedule]
+    return _split_counts(np.exp(-float(np.log(w.max()))) * w)
 
 
 def extract_projection(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
-                       f: np.ndarray,
-                       sigma_schedule=SIGMA_SCHEDULE,
-                       theta_keep: float = THETA_KEEP,
-                       gap_min: float = GAP_MIN) -> np.ndarray:
+                       f: np.ndarray) -> np.ndarray:
     """pi = I - (spectral threshold of rho f): projection onto the
     collapsing directions of a blow-up state.
 
     The sigma-schedule confirms that the count of eigenvalues above the
     threshold has stabilized; the one-shot threshold then keeps eigenvectors
-    with eigenvalue >= theta_keep^{1/sigma_last} of rho f.  A relative gap
-    of at least gap_min between kept and dropped eigenvalues is required.
+    with eigenvalue >= THETA_KEEP^{1/sigma_last} = 2^-16 of rho f.  Equal
+    counts at sigma = 1/4, 1/8 and 1/16 mean that no eigenvalue of rho f
+    lies in [2^-16, 2^-4) anywhere on the grid, so kept and dropped
+    eigenvalues are more than 2^12 = 4096 apart.
     """
     calc = HermCalculus(H0)
     w, U = calc.eig(f)
@@ -95,13 +96,13 @@ def extract_projection(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
     M = float(np.log(w.max()))
     lam = np.exp(-M) * w  # eigenvalues of rho f, in (0, 1]
 
-    counts = sigma_split_counts(calc, f, sigma_schedule, theta_keep)
+    counts = _split_counts(lam)
     if len(set(counts[-3:])) != 1:
         raise NoSpectralGap(
             f"sigma-power split did not stabilize (kept counts {counts})"
         )
 
-    keep = lam >= theta_keep ** (1.0 / sigma_schedule[-1])
+    keep = lam >= THETA_KEEP ** (1.0 / SIGMA_SCHEDULE[-1])
     n_keep = keep.sum(axis=-1)
     if n_keep.min() != n_keep.max():
         raise NoSpectralGap("kept multiplicity varies over the grid")
@@ -110,12 +111,6 @@ def extract_projection(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
         raise NoSpectralGap(
             f"threshold keeps {k} of {bundle.rank} eigenvalues; no split "
             "(the state did not blow up)"
-        )
-    kept_min = lam[keep].min()
-    dropped_max = lam[~keep].max()
-    if kept_min / max(dropped_max, 1e-300) < gap_min:
-        raise NoSpectralGap(
-            f"relative spectral gap {kept_min/dropped_max:.2e} below {gap_min:.0e}"
         )
 
     sel = keep[..., None, :].astype(float)
@@ -168,8 +163,8 @@ def validate_projection(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
     }
 
 
-def flatten_projection(bundle: FlatBundle, torus: AffineTorus, pi: np.ndarray,
-                       snap_tol: float = SNAP_TOL) -> FlatSubbundle:
+def flatten_projection(bundle: FlatBundle, torus: AffineTorus,
+                       pi: np.ndarray) -> FlatSubbundle:
     """Grid-average pi in the flat frame, round to an exact projection, and
     snap its image to the nearest monodromy-invariant subspace."""
     r = bundle.rank
@@ -196,11 +191,11 @@ def flatten_projection(bundle: FlatBundle, torus: AffineTorus, pi: np.ndarray,
         dist = float(np.sqrt(max(0.0, 1.0 - sv.min() ** 2)))
         if best is None or dist < best[0]:
             best = (dist, F)
-    if best is None or best[0] > snap_tol:
+    if best is None or best[0] > SNAP_TOL:
         got = f"{best[0]:.3f}" if best else "none available"
         raise NoNearbyFlatSubbundle(
             f"nearest invariant subspace of rank {s} is at distance {got} "
-            f"(snap tolerance {snap_tol})"
+            f"(snap tolerance {SNAP_TOL})"
         )
     return best[1]
 

@@ -341,3 +341,16 @@ def laplacian_type(metric: MetricField, psi: np.ndarray) -> np.ndarray:
     """tr_g del delbar psi = (1/4) g^{ij} psi_{,ij} for a scalar field."""
     phi = Form.from_scalar(metric.torus, psi)
     return trace_g(metric, dolbeault_del(dolbeault_delbar(phi)))
+
+
+def laplacian_symbol(metric: MetricField) -> np.ndarray:
+    """-symbol of ``laplacian_type`` with g^{-1} frozen at its grid mean:
+    (1/4) gbar^{ij} s_i s_j, s the backend's ``derivative_symbol``.
+
+    It vanishes exactly where the discrete partials annihilate a mode.
+    """
+    torus = metric.torus
+    n = torus.dim
+    gbar = metric.inv.reshape(-1, n, n).mean(axis=0)
+    s = np.meshgrid(*(torus.derivative_symbol(),) * n, indexing="ij")
+    return sum(gbar[i, j] * s[i] * s[j] for i in range(n) for j in range(n)) / 4

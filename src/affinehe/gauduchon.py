@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import KernelNotOneDimensional, NoPositiveKernel, ValidationError
 from .forms import (Form, MetricField, _derivative_table, div_by_nu, dolbeault_del,
-                    dolbeault_delbar)
+                    dolbeault_delbar, laplacian_symbol, laplacian_type)
 
 
 @dataclass
@@ -74,15 +74,7 @@ def apply_QH(metric: MetricField, psi: np.ndarray) -> np.ndarray:
 
 def apply_Qstar(metric: MetricField, psi: np.ndarray) -> np.ndarray:
     """Adjoint of Q in the omega^n/nu pairing: (1/4n) g^{ij} psi_{,ij}."""
-    torus = metric.torus
-    n = torus.dim
-    out = np.zeros(torus.grid_shape, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    dpsi = [torus.partial(psi, j) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out += metric.inv[..., i, j] * torus.partial(dpsi[j], i)
-    return out / (4.0 * n)
+    return laplacian_type(metric, psi) / metric.torus.dim
 
 
 def pairing(metric: MetricField, phi: np.ndarray, psi: np.ndarray) -> complex:
@@ -95,25 +87,6 @@ GAUDUCHON_TOL = 1e-10       # residual below this counts as already Gauduchon
 SIGN_TOL = 1e-6             # relative negativity allowed in the kernel vector
 KERNEL_GAP_MIN = 1e-6       # sigma_2 must exceed this times sigma_max
 LOBPCG_TOL = 1e-10          # eigen-residual tolerance, relative to sigma_max^2
-
-
-def _operator(torus, fn) -> spla.LinearOperator:
-    """A linear map of grid fields as an operator on raveled vectors."""
-    return spla.LinearOperator(
-        (torus.n_points,) * 2, dtype=complex,
-        matvec=lambda v: fn(v.reshape(torus.grid_shape)).ravel())
-
-
-def _principal_symbol(metric: MetricField) -> np.ndarray:
-    """-symbol of Q's principal part (1/4n) g^{ij} d_i d_j, g^{-1} at its mean.
-
-    Built from the backend's own derivative symbol, so it vanishes exactly
-    where the discrete partials do (constants; the fd checkerboard modes).
-    """
-    n = metric.torus.dim
-    gbar = metric.inv.reshape(-1, n, n).mean(axis=0)
-    s = np.meshgrid(*(metric.torus.derivative_symbol(),) * n, indexing="ij")
-    return sum(gbar[i, j] * s[i] * s[j] for i in range(n) for j in range(n)) / (4 * n)
 
 
 def kernel_singular_values(metric: MetricField,
@@ -129,26 +102,25 @@ def kernel_singular_values(metric: MetricField,
     checkerboard null modes are kept.
     """
     torus = metric.torus
-    QHQ = _operator(torus, lambda v: apply_QH(metric, apply_Q(metric, v)))
+    QHQ = torus.operator(lambda v: apply_QH(metric, apply_Q(metric, v)))
     rng = np.random.default_rng(0)
     lam_max = spla.eigsh(QHQ, k=1, which="LA", tol=1e-10, return_eigenvectors=False,
                          v0=rng.standard_normal(torus.n_points) + 0j)[0]
-    p = _principal_symbol(metric)
+    p = laplacian_symbol(metric) / torus.dim
     nonzero = p > 1e-12 * p.max()
     p = np.where(nonzero, p, p[nonzero].min())
     V = metric.volume_density()
     s = V * np.einsum("...ii->...", metric.inv)
 
     def precondition(v):
-        u = np.fft.ifftn(np.fft.fftn(v / s) / p) * V**2
-        return np.fft.ifftn(np.fft.fftn(u) / p) / s
+        return torus.fft_divide(torus.fft_divide(v / s, p) * V**2, p) / s
 
     with warnings.catch_warnings():
         # an unconverged run still returns Ritz values: upper bounds
         warnings.simplefilter("ignore", UserWarning)
         lam = spla.lobpcg(QHQ, rng.standard_normal((torus.n_points, 3)) + 0j,
                           Y=phi.reshape(-1, 1) / np.linalg.norm(phi),
-                          M=_operator(torus, precondition), largest=False,
+                          M=torus.operator(precondition), largest=False,
                           tol=LOBPCG_TOL * lam_max, maxiter=200)[0]
     return float(np.sqrt(max(lam.real.min(), 0.0))), float(np.sqrt(lam_max))
 
@@ -173,9 +145,10 @@ def find_gauduchon_factor(metric: MetricField, tol: float = 1e-12,
                                q_residual=q_res, kernel_gap=np.inf,
                                already_gauduchon=True)
 
-    symbol = -_principal_symbol(metric)  # zero where the mean term acts alone
-    bordered = _operator(torus, lambda v: apply_Q(metric, v) + v.mean())
-    fft_inverse = _operator(torus, lambda v: torus.fft_divide(v, symbol))
+    # Q's principal symbol; zero where the mean term acts alone
+    symbol = -laplacian_symbol(metric) / n
+    bordered = torus.operator(lambda v: apply_Q(metric, v) + v.mean())
+    fft_inverse = torus.operator(lambda v: torus.fft_divide(v, symbol))
     steps = []
     x, _ = spla.gmres(bordered, np.ones(torus.n_points, dtype=complex), M=fft_inverse,
                       rtol=tol, atol=0.0, restart=50, maxiter=max_cycles,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .errors import ValidationError
 
@@ -86,7 +87,7 @@ class AffineTorus:
         vhat = np.fft.fft(values, axis=axis)
         shape = [1] * values.ndim
         shape[axis] = self.resolution
-        mult = (2j * np.pi * self._freq).reshape(shape)
+        mult = (1j * self.derivative_symbol()).reshape(shape)
         return np.fft.ifft(vhat * mult, axis=axis)
 
     def integrate(self, values: np.ndarray) -> complex:
@@ -106,10 +107,15 @@ class AffineTorus:
     def derivative_symbol(self) -> np.ndarray:
         """Per-axis Fourier symbol s: ``partial`` multiplies mode k by i s[k].
 
-        2 pi k for the spectral backend, N sin(2 pi k / N) for fd.
+        2 pi k for the spectral backend, N sin(2 pi k / N) for fd.  The fd
+        symbol is exactly zero where the central difference annihilates the
+        mode: k = 0 and, at even N, k = N/2, where sin(pi) would round to
+        about 1e-16.
         """
         if self.backend == "fd":
-            return self.resolution * np.sin(2 * np.pi * self._freq / self.resolution)
+            s = self.resolution * np.sin(2 * np.pi * self._freq / self.resolution)
+            s[2 * np.abs(self._freq) == self.resolution] = 0.0
+            return s
         return 2 * np.pi * self._freq
 
     def fft_divide(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -124,6 +130,15 @@ class AffineTorus:
         symbol = np.where(symbol == 0, 1, symbol)
         symbol = symbol.reshape(symbol.shape + (1,) * (np.ndim(values) - self.dim))
         return np.fft.ifftn(np.fft.fftn(values, axes=axes) / symbol, axes=axes)
+
+    def operator(self, fn, value_shape: tuple[int, ...] = ()) -> spla.LinearOperator:
+        """A linear map of grid fields with trailing ``value_shape`` axes as
+        a LinearOperator on raveled vectors."""
+        shape = self.grid_shape + tuple(value_shape)
+        size = int(np.prod(shape))
+        return spla.LinearOperator(
+            (size, size), dtype=complex,
+            matvec=lambda v: fn(v.reshape(shape)).ravel())
 
 
 def random_smooth_scalar(torus, rng, modes: int = 3, amplitude: float = 1.0,

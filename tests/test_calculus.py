@@ -14,6 +14,7 @@ from affinehe.forms import (
     dolbeault_del,
     dolbeault_delbar,
     increasing_indices,
+    laplacian_symbol,
     laplacian_type,
     merge_sign,
     trace_g,
@@ -83,6 +84,29 @@ def test_fft_divide_zero_mode_rule(rng):
     assert np.abs(out - expect).max() < 1e-14
     scalar = t.fft_divide(values[..., 0, 0], symbol)
     assert np.abs(scalar - out[..., 0, 0]).max() < 1e-14
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("N", [15, 16])
+def test_symbol_zero_modes(backend, N):
+    # partial multiplies mode k by i s[k]; s vanishes exactly on the modes
+    # the discrete partial annihilates: k = 0, and for fd at even N also
+    # k = N/2, and so does the Laplacian symbol built from it
+    t = AffineTorus(2, N, backend)
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    s = t.derivative_symbol()
+    x = t.coordinate(0)
+    for kk, sk in zip(k, s):
+        wave = np.exp(2j * np.pi * kk * x)
+        assert np.abs(t.partial(wave, 0) - 1j * sk * wave).max() < 1e-10 * N
+    null = (k == 0) | ((backend == "fd") & (2 * np.abs(k) == N))
+    assert np.all(s[null] == 0) and np.all(s[~null] != 0)
+    if backend == "fd" and N % 2 == 0:
+        checker = np.broadcast_to((-1.0) ** np.arange(N)[:, None], t.grid_shape)
+        assert np.all(t.partial(checker.astype(complex), 0) == 0)
+    lap = laplacian_symbol(MetricField(t, np.array([[2.0, 0.5], [0.5, 1.0]])))
+    both = null[:, None] & null[None, :]
+    assert np.all(lap[both] == 0) and np.all(lap[~both] > 0)
 
 
 # ---------------------------------------------------------------------------

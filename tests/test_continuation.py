@@ -286,6 +286,17 @@ def test_run_unipotent_blowup_small():
     assert max(r[0] * r[2] for r in res.history) < 5.0
 
 
+def test_m_drift_rejects_semistable_eps_zero_probe():
+    # with m_max = 50 an eps = 0 probe of the unipotent path reaches the
+    # residual tolerance at m ~ 22, below 0.5 m_max; only the m-drift test
+    # keeps that probe from being reported as a Hermitian-Einstein metric
+    t = AffineTorus(1, 32)
+    g = MetricField(t, np.eye(1))
+    b = build_bundle([UNIPOTENT])
+    res = run_continuation(b, t, g, m_max=50.0, max_steps=20)
+    assert res.status != "converged"
+
+
 def test_real_he_metric_rotation(t64, gI):
     th = np.sqrt(2) * np.pi
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
