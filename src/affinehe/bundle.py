@@ -218,14 +218,14 @@ def shift_equivariant(bundle: FlatBundle, torus: AffineTorus, values: np.ndarray
 HPD_FLOOR = 1e-12  # reject if min eigenvalue < floor * max eigenvalue
 
 
-def check_hpd(H: np.ndarray, what: str = "metric") -> None:
+def check_hpd(H: np.ndarray) -> None:
     herm_defect = np.abs(H - np.conj(np.swapaxes(H, -1, -2))).max()
     scale = max(1.0, np.abs(H).max())
     if herm_defect > 1e-10 * scale:
-        raise NonHPD(f"{what} is not Hermitian (defect {herm_defect:.2e})")
+        raise NonHPD(f"metric is not Hermitian (defect {herm_defect:.2e})")
     ev = np.linalg.eigvalsh(H)
     if ev.min() <= HPD_FLOOR * max(ev.max(), 1e-300):
-        raise NonHPD(f"{what} is not positive definite (min eig {ev.min():.3e})")
+        raise NonHPD(f"metric is not positive definite (min eig {ev.min():.3e})")
 
 
 def hermitize(H: np.ndarray) -> np.ndarray:
@@ -340,14 +340,14 @@ def covariant_del0(bundle: FlatBundle, torus: AffineTorus, theta0: Form,
 
 
 def second_fundamental_form(bundle: FlatBundle, torus: AffineTorus,
-                            H: np.ndarray, pi: np.ndarray,
-                            tol: float = 1e-8) -> Form:
+                            H: np.ndarray, pi: np.ndarray) -> Form:
     """A = (I - pi) del_0 pi for an h-orthogonal projection field pi.
 
     Vanishes exactly when the h-orthogonal complement of the image is flat.
     """
     r = bundle.rank
     eye = np.eye(r)
+    tol = 1e-8
     proj_defect = np.abs(pi @ pi - pi).max()
     Hinv = np.linalg.inv(H)
     adj = Hinv @ np.conj(np.swapaxes(pi, -1, -2)) @ H
@@ -418,15 +418,15 @@ class HermCalculus:
         S = (U * fw[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
         return self.from_hermitian(S)
 
-    def log(self, F: np.ndarray, floor: float = 1e-30) -> np.ndarray:
-        return self.apply(F, np.log, floor=floor)
+    def log(self, F: np.ndarray) -> np.ndarray:
+        return self.apply(F, np.log, floor=1e-30)
 
     def exp(self, F: np.ndarray) -> np.ndarray:
         # clip keeps a wild Newton trial finite; the line search rejects it
         return self.apply(F, lambda w: np.exp(np.minimum(w, 500.0)))
 
-    def power(self, F: np.ndarray, sigma: float, floor: float = 1e-30) -> np.ndarray:
-        return self.apply(F, lambda w: w**sigma, floor=floor)
+    def power(self, F: np.ndarray, sigma: float) -> np.ndarray:
+        return self.apply(F, lambda w: w**sigma, floor=1e-30)
 
     def sqrt_of(self, F: np.ndarray) -> np.ndarray:
         return self.power(F, 0.5)

@@ -113,48 +113,60 @@ def _floats(s: str) -> list:
     return [float(tok) for tok in s.replace(",", " ").split()]
 
 
+# [section] key -> (RunConfig field, parser of the value).  [bundle] also
+# takes monodromy1 .. monodromyK, one per torus axis; they all use the
+# "monodromy" entry.  Any other section or key is an error.
+CONFIG_KEYS = {
+    "torus": {"dim": ("dim", int), "resolution": ("resolution", int),
+              "backend": ("backend", str)},
+    "metric": {"type": ("metric_type", str), "matrix": ("metric_matrix", _floats),
+               "amplitude": ("metric_amplitude", float), "axis": ("metric_axis", int),
+               "path": ("metric_path", str)},
+    "bundle": {"rank": ("rank", int), "field": ("bundle_field", str),
+               "monodromy": ("monodromy", _floats)},
+    "solver": {"epsilon_factor": ("epsilon_factor", float),
+               "epsilon_min": ("epsilon_min", float),
+               "newton_tol": ("newton_tol", float), "max_steps": ("max_steps", int),
+               "m_max": ("m_max", float)},
+    "perturbation": {"amplitude": ("perturb_amplitude", float),
+                     "modes": ("perturb_modes", int)},
+    "output": {"dir": ("out_dir", str), "seed": ("seed", int)},
+}
+
+
 def load_config(path) -> RunConfig:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    cp = configparser.ConfigParser(default_section="")  # so [DEFAULT] is unknown
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(f"config file {path!r} is malformed: {exc}") from None
     if not read:
         raise ValidationError(f"config file {path!r} not found or unreadable")
     cfg = RunConfig()
-    if cp.has_section("torus"):
-        sec = cp["torus"]
-        cfg.dim = sec.getint("dim", cfg.dim)
-        cfg.resolution = sec.getint("resolution", cfg.resolution)
-        cfg.backend = sec.get("backend", cfg.backend)
-    if cp.has_section("metric"):
-        sec = cp["metric"]
-        cfg.metric_type = sec.get("type", cfg.metric_type)
-        if "matrix" in sec:
-            cfg.metric_matrix = _floats(sec["matrix"])
-        cfg.metric_amplitude = sec.getfloat("amplitude", cfg.metric_amplitude)
-        cfg.metric_axis = sec.getint("axis", cfg.metric_axis)
-        cfg.metric_path = sec.get("path", cfg.metric_path)
-    if cp.has_section("bundle"):
-        sec = cp["bundle"]
-        cfg.rank = sec.getint("rank", cfg.rank)
-        cfg.bundle_field = sec.get("field", cfg.bundle_field)
-        cfg.monodromy = []
-        k = 1
-        while f"monodromy{k}" in sec:
-            cfg.monodromy.append(_floats(sec[f"monodromy{k}"]))
-            k += 1
+    monodromy = {}
+    for section in cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ValidationError(f"unknown config section [{section}]")
+        for key, raw in cp[section].items():
+            numbered = section == "bundle" and key.startswith("monodromy")
+            slot = "monodromy" if numbered else key
+            if slot not in CONFIG_KEYS[section]:
+                raise ValidationError(f"unknown config key {key!r} in [{section}]")
+            name, parse = CONFIG_KEYS[section][slot]
+            try:
+                value = parse(raw)
+            except ValueError:
+                raise ValidationError(
+                    f"[{section}] {key} = {raw!r} does not parse") from None
+            if numbered:
+                monodromy[key] = value
+            else:
+                setattr(cfg, name, value)
+    try:  # K distinct keys covering monodromy1..monodromyK are exactly those
+        cfg.monodromy = [monodromy[f"monodromy{k + 1}"] for k in range(len(monodromy))]
+    except KeyError as exc:
+        raise ValidationError(f"monodromy keys must run monodromy1..monodromyK; "
+                              f"{exc.args[0]} is missing") from None
     if not cfg.monodromy:
         cfg.monodromy = [list(np.eye(cfg.rank).ravel()) for _ in range(cfg.dim)]
-    if cp.has_section("solver"):
-        sec = cp["solver"]
-        cfg.epsilon_factor = sec.getfloat("epsilon_factor", cfg.epsilon_factor)
-        cfg.epsilon_min = sec.getfloat("epsilon_min", cfg.epsilon_min)
-        cfg.newton_tol = sec.getfloat("newton_tol", cfg.newton_tol)
-        cfg.max_steps = sec.getint("max_steps", cfg.max_steps)
-        cfg.m_max = sec.getfloat("m_max", cfg.m_max)
-    if cp.has_section("perturbation"):
-        sec = cp["perturbation"]
-        cfg.perturb_amplitude = sec.getfloat("amplitude", cfg.perturb_amplitude)
-        cfg.perturb_modes = sec.getint("modes", cfg.perturb_modes)
-    if cp.has_section("output"):
-        cfg.out_dir = cp["output"].get("dir", cfg.out_dir)
-        cfg.seed = cp["output"].getint("seed", cfg.seed)
     return cfg

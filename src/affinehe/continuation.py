@@ -3,9 +3,9 @@
 Solves L_eps(f) = K_0 - gamma I + tr_g delbar(f^{-1} del_0 f) + eps log f = 0
 along a decreasing eps-path from 1, where f is Hermitian positive with
 respect to a normalized background metric h_0 with tr K_0 = r gamma.  Each
-eps-step runs a Newton iteration on the Hermitian form f L_eps(f); updates
-are parametrized as f -> f^{1/2} exp(s) f^{1/2} with s traceless Hermitian,
-which preserves positivity and keeps det f = 1 structurally.
+eps-step runs a damped Newton iteration on L_eps: each step solves
+DL_eps(f)[f^{1/2} s f^{1/2}] = -L_eps(f) for traceless h_0-Hermitian s and
+moves f -> f^{1/2} exp(t s) f^{1/2}, which keeps f positive and det f = 1.
 
 On convergence (eps below eps_min and the eps = 0 equation solvable) the
 final metric h = h_0 f satisfies K = gamma I to solver accuracy.  When the
@@ -64,8 +64,7 @@ def einstein_constant(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
     return gamma
 
 
-def solve_scalar_elliptic(gG: MetricField, rhs: np.ndarray, tol: float = 1e-12,
-                          maxiter: int = 400) -> tuple[np.ndarray, float]:
+def solve_scalar_elliptic(gG: MetricField, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve tr_g del delbar rho = rhs for a periodic scalar field.
 
     Constants are pinned by augmenting the operator with the grid mean; an
@@ -80,8 +79,8 @@ def solve_scalar_elliptic(gG: MetricField, rhs: np.ndarray, tol: float = 1e-12,
     mult = -laplacian_symbol(gG)
     A = torus.operator(lambda rho: laplacian_type(gG, rho) + rho.mean())
     M = torus.operator(lambda rho: torus.fft_divide(rho, mult))
-    x, info = spla.lgmres(A, rhs.ravel(), M=M, rtol=tol, atol=tol * scale,
-                          maxiter=maxiter)
+    tol = 1e-12  # relative lgmres tolerance, and the scale of the acceptance test
+    x, info = spla.lgmres(A, rhs.ravel(), M=M, rtol=tol, atol=tol * scale, maxiter=400)
     rho = x.reshape(torus.grid_shape)
     rho -= rho.mean()
     achieved = float(np.abs(laplacian_type(gG, rho) - rhs).max())
@@ -149,9 +148,7 @@ class ContinuationProblem:
                  gG: MetricField, gamma: float):
         self.bundle = bundle
         self.torus = torus
-        self.H0 = H0
         self.gG = gG
-        self.gamma = gamma
         self.rank = bundle.rank
         self.calc0 = HermCalculus(H0)
         self.theta0 = hermitian_connection(bundle, torus, H0)
@@ -191,14 +188,8 @@ class ContinuationProblem:
 
     def m_value(self, f: np.ndarray) -> float:
         """max over the grid of the flat-frame Frobenius norm of log f."""
-        w, U = self.calc0.eig(f)
-        w = np.maximum(w, 1e-300)
-        Ud = np.conj(np.swapaxes(U, -1, -2))
-        logf = self.calc0.from_hermitian(
-            (U * np.log(w)[..., None, :]) @ Ud
-        )
         gauge = self.bundle.gauge(self.torus)
-        logf_flat = gauge.end_to_flat(logf)
+        logf_flat = gauge.end_to_flat(self.calc0.log(f))
         return float(np.sqrt(
             np.abs(np.einsum("...ab,...ab->...", logf_flat, np.conj(logf_flat)))
         ).max())
@@ -252,9 +243,6 @@ class ContinuationProblem:
         return trace_g(self.gG, end_delbar(d0phi))
 
     # -- inner linear solves -------------------------------------------------
-    def _precondition(self, v: np.ndarray, eps: float) -> np.ndarray:
-        return self.torus.fft_divide(v, self._symbol + eps)
-
     def _traceless(self, s: np.ndarray) -> np.ndarray:
         """Pointwise traceless part of s.
 
@@ -294,7 +282,8 @@ class ContinuationProblem:
 
         A = self.torus.operator(lambda v: self._traceless(
             self.linearize_residual(f, sqf @ self._traceless(v) @ sqf, eps)), (r, r))
-        M = self.torus.operator(lambda v: self._precondition(v, eps), (r, r))
+        M = self.torus.operator(
+            lambda v: self.torus.fft_divide(v, self._symbol + eps), (r, r))
         with np.errstate(over="ignore", invalid="ignore"):
             x, _ = spla.lgmres(A, b, M=M, rtol=1e-8, atol=1e-8 * bnorm,
                                maxiter=60, inner_m=30)
@@ -331,13 +320,11 @@ class ContinuationProblem:
 class ContinuationState:
     epsilon: float
     f: np.ndarray
-    h0: np.ndarray
     residual: float
     m: float
     det_defect: float
     history: list = field(default_factory=list)
     converged: bool = False
-    message: str = ""
 
 
 @dataclass
@@ -353,84 +340,63 @@ class HEResult:
 
 
 STALL_ACCEPT = 50.0  # accept a stalled Newton iterate within this factor of tol
+MAX_NEWTON = 30
 
 
 def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
-                 tol: float = 1e-8, max_newton: int = 30,
-                 m_max: float | None = None,
+                 tol: float = 1e-8, m_max: float | None = None,
                  rel_target: float | None = None) -> ContinuationState:
     """Newton iteration for L_eps(f) = 0 from f_init.
 
     With ``rel_target`` set, the goal is a fixed reduction of the entry
     residual (path-following mode: every eps-step must make real progress
-    tracking the solution family even when residuals are tiny).  The
-    achievable residual is bounded below by the discretization mismatch of
-    the curvature-change identity, so an iterate that stalls within
-    STALL_ACCEPT of the target counts as converged.  Raises Diverged when
-    damping cannot reduce a genuinely large residual; returns early with
-    the hot state when m crosses m_max (blow-up hand-off).
+    tracking the solution family even when residuals are tiny).  The loop
+    ends at the target, after MAX_NEWTON steps, or when the line search
+    finds no better trial.  Then one stall rule decides: a residual within
+    STALL_ACCEPT of the target counts as converged, since discretization
+    bounds the achievable residual below; a larger one raises Diverged, as
+    does a stagnating linear solve.  Returns early, unconverged, with the
+    hot state when m crosses m_max (blow-up hand-off).
     """
-    calc0 = problem.calc0
-    f = calc0.hermitize(np.asarray(f_init, dtype=complex))
+    f = problem.calc0.hermitize(np.asarray(f_init, dtype=complex))
     res = problem.res_norm(f, eps)
-    state = ContinuationState(eps, f, problem.H0, res, problem.m_value(f),
-                              problem.det_defect(f))
+    state = ContinuationState(eps, f, res, problem.m_value(f), problem.det_defect(f))
     hard_floor = 1e-14 * max(1.0, float(np.abs(problem.K0).max()))
     tol_eff = max(tol, hard_floor)
     if rel_target is not None:
         tol_eff = max(min(tol_eff, rel_target * res), hard_floor)
-    for it in range(max_newton):
+    for _ in range(MAX_NEWTON):
         if res <= tol_eff:
-            state.converged = True
             break
         if m_max is not None and state.m >= m_max:
-            state.message = "m_max exceeded"
-            break
-        L = problem.residual(f, eps)
+            return state
         try:
-            s = problem.solve_newton_direction(f, eps, L)
+            s = problem.solve_newton_direction(f, eps, problem.residual(f, eps))
         except LinearSolveStagnation as exc:
-            state.message = str(exc)
             raise Diverged(f"Newton at eps={eps:.3e}: {exc}") from exc
-        accepted = False
         best = None
         for k in range(9):
-            step = 0.5**k
-            f_try = problem.renormalize_det(problem.update(f, s, step))
-            try:
-                res_try = problem.res_norm(f_try, eps)
-            except (NonHPD, FloatingPointError):
-                continue
+            f_try = problem.renormalize_det(problem.update(f, s, 0.5**k))
+            res_try = problem.res_norm(f_try, eps)
             if not np.isfinite(res_try):
                 continue
             if best is None or res_try < best[1]:
                 best = (f_try, res_try)
             if res_try < 0.3 * res:
                 break
-        if best is not None and (best[1] < res * (1.0 - 1e-4) or best[1] < tol_eff):
+        accepted = best is not None and best[1] < max(res * (1.0 - 1e-4), tol_eff)
+        if accepted:
             f, res = best
-            accepted = True
-        state.f = f
-        state.residual = res
-        state.m = problem.m_value(f)
-        state.det_defect = problem.det_defect(f)
+            state.f = f
+            state.residual = res
+            state.m = problem.m_value(f)
+            state.det_defect = problem.det_defect(f)
         state.history.append((eps, res, state.m, state.det_defect))
         if not accepted:
-            if res <= STALL_ACCEPT * tol_eff:
-                state.converged = True
-                state.message = f"stalled near discretization floor ({res:.2e})"
-                break
-            raise Diverged(
-                f"Newton at eps={eps:.3e} stalled at residual {res:.3e}"
-            )
-    else:
-        if res > STALL_ACCEPT * tol_eff:
-            raise Diverged(
-                f"Newton at eps={eps:.3e} did not reach tol in {max_newton} steps "
-                f"(residual {res:.3e})"
-            )
-        state.converged = True
-    state.residual = res
+            break
+    if res > STALL_ACCEPT * tol_eff:
+        raise Diverged(f"Newton at eps={eps:.3e} stalled at residual {res:.3e}")
+    state.converged = True
     return state
 
 
@@ -474,66 +440,53 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     f = f1
     last_good: tuple[float, np.ndarray] | None = None
     tried_zero_at = -10
-    blown = None
 
-    def record(st: ContinuationState):
-        history.append((st.epsilon, st.residual, st.m, st.det_defect))
+    def stop(status: str, blowup_data: np.ndarray | None = None, **diag) -> HEResult:
+        return HEResult(status, None, gamma, np.inf, blowup_data, history, H0,
+                        norm_diag | diag)
 
-    steps = 0
-    while steps < max_steps:
-        steps += 1
+    for steps in range(1, max_steps + 1):
         try:
             st = newton_solve(problem, eps, f, tol=newton_tol, m_max=m_max,
                               rel_target=0.03)
         except Diverged:
             if last_good is None:
-                return HEResult("max-iters", None, gamma, np.inf, None, history,
-                                H0, norm_diag | {"message": "diverged at eps=1"})
+                return stop("max-iters", message="diverged at eps=1")
             new_eps = float(np.sqrt(eps * last_good[0]))
             if new_eps / last_good[0] > 0.97:
-                return HEResult("max-iters", None, gamma, np.inf, None, history,
-                                H0, norm_diag | {"message":
-                                                 f"stuck below eps={last_good[0]:.3e}"})
+                return stop("max-iters", message=f"stuck below eps={last_good[0]:.3e}")
             f = last_good[1]
             eps = new_eps
             continue
-        record(st)
+        history.append((st.epsilon, st.residual, st.m, st.det_defect))
         f = st.f
         if st.m >= m_max:
-            blown = st
-            break
+            return stop("blowup", st.f, eps_at_blowup=st.epsilon, m_at_blowup=st.m)
         last_good = (eps, f)
         if eps <= eps_min and steps - tried_zero_at >= 8:
             tried_zero_at = steps
-            m_before = problem.m_value(f)
             try:
                 st0 = newton_solve(problem, 0.0, f, tol=newton_tol, m_max=m_max)
-                record(st0)
+            except Diverged:
+                f = last_good[1]
+            else:
+                history.append((st0.epsilon, st0.residual, st0.m, st0.det_defect))
                 f = st0.f  # keep: for semistable bundles this pushes m up
                 if st0.m >= m_max:
-                    blown = st0
-                    break
-                drifted = st0.m - m_before > 0.5
-                if st0.converged and not drifted and st0.m <= 0.5 * m_max:
+                    return stop("blowup", st0.f, eps_at_blowup=st0.epsilon,
+                                m_at_blowup=st0.m)
+                # m-drift test; st0 is converged, as only m >= m_max returns unconverged
+                if st0.m - st.m <= 0.5 and st0.m <= 0.5 * m_max:
                     Hfin = hermitize(H0 @ st0.f)
                     Kdef = _K_defect(gG, bundle, torus, Hfin, gamma)
                     return HEResult("converged", Hfin, gamma, Kdef, None, history,
-                                    H0, norm_diag | {"final_f": st0.f,
-                                                     "residual": st0.residual})
-            except Diverged:
-                f = last_good[1]
+                                    H0, norm_diag)
         eps *= factor
-
-    if blown is not None:
-        return HEResult("blowup", None, gamma, np.inf, blown.f, history, H0,
-                        norm_diag | {"eps_at_blowup": blown.epsilon,
-                                     "m_at_blowup": blown.m})
-    return HEResult("max-iters", None, gamma, np.inf, None, history, H0,
-                    norm_diag | {"message": "step budget exhausted"})
+    return stop("max-iters", message="step budget exhausted")
 
 
 def real_he_metric(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
-                   splitting=None, **solver_kw):
+                   splitting=None):
     """Real Hermitian-Einstein metric on an R-stable real bundle.
 
     With a conjugate splitting E (x) C = V + conj(V), solves on V (half
@@ -547,11 +500,11 @@ def real_he_metric(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
         raise ValidationError("real_he_metric expects a real bundle")
     from .stability import conjugate_splitting, induced_monodromy
 
-    ec = FlatBundle([m.astype(complex) for m in bundle.monodromy], "complex")
+    ec = FlatBundle(bundle.monodromy, "complex")
     if splitting is None:
         splitting = conjugate_splitting(bundle)
     if splitting is None:
-        result = run_continuation(ec, torus, gG, **solver_kw)
+        result = run_continuation(ec, torus, gG)
         if result.status != "converged":
             return None, result, np.inf
         Hflat = ec.gauge(torus).herm_to_flat(result.final_metric)
@@ -567,7 +520,7 @@ def real_he_metric(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
             "E (x) C = V + conj(V) needs 2 rank(V) = rank(E)"
         )
     sub = FlatBundle(induced_monodromy(ec, V), "complex")
-    result = run_continuation(sub, torus, gG, **solver_kw)
+    result = run_continuation(sub, torus, gG)
     if result.status != "converged":
         return None, result, np.inf
     HV_flat = sub.gauge(torus).herm_to_flat(result.final_metric)
@@ -612,7 +565,6 @@ def linearize_apply(bundle: FlatBundle, torus: AffineTorus, f: np.ndarray,
 def he_K_defect(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
                 H_flat: np.ndarray, gamma: float = 0.0) -> float:
     """sup_x Frobenius norm of K(h) - gamma I for a flat-frame metric."""
-    ec = bundle if bundle.field == "complex" else FlatBundle(
-        [m.astype(complex) for m in bundle.monodromy], "complex")
+    ec = bundle if bundle.field == "complex" else FlatBundle(bundle.monodromy, "complex")
     Hg = ec.gauge(torus).herm_to_gauge(np.asarray(H_flat, dtype=complex))
     return _K_defect(gG, ec, torus, Hg, gamma)

@@ -125,12 +125,11 @@ def kernel_singular_values(metric: MetricField,
     return float(np.sqrt(max(lam.real.min(), 0.0))), float(np.sqrt(lam_max))
 
 
-def find_gauduchon_factor(metric: MetricField, tol: float = 1e-12,
-                          max_cycles: int = 4) -> GauduchonResult:
+def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     """Positive kernel element of Q, normalized, with the rescaled metric.
 
-    Solves (Q + mean) phi = 1 by GMRES to relative residual ``tol`` within
-    ``max_cycles`` restart cycles of 50; since the volume weights annihilate
+    Solves (Q + mean) phi = 1 by GMRES to relative residual 1e-12 within
+    four restart cycles of 50; since the volume weights annihilate
     Q from the left, phi has mean one and Q phi = 0.  Raises
     KernelNotOneDimensional if a second near-null direction exists, then
     NoPositiveKernel unless phi is real and of one sign.
@@ -151,7 +150,7 @@ def find_gauduchon_factor(metric: MetricField, tol: float = 1e-12,
     fft_inverse = torus.operator(lambda v: torus.fft_divide(v, symbol))
     steps = []
     x, _ = spla.gmres(bordered, np.ones(torus.n_points, dtype=complex), M=fft_inverse,
-                      rtol=tol, atol=0.0, restart=50, maxiter=max_cycles,
+                      rtol=1e-12, atol=0.0, restart=50, maxiter=4,
                       callback=steps.append, callback_type="pr_norm")
     if not 0.0 < np.linalg.norm(x) < np.inf:
         # (Q + mean) v = 0 forces mean(v) = 0 and Q v = 0

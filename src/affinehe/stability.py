@@ -54,12 +54,12 @@ class FlatSubbundle:
         return self.basis @ np.conj(self.basis.T)
 
 
-def _orth(cols: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _orth(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span (SVD rank reveal)."""
     if cols.size == 0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
     U, s, _ = np.linalg.svd(cols, full_matrices=False)
-    keep = s > tol * max(1.0, s[0] if len(s) else 1.0)
+    keep = s > 1e-12 * max(1.0, s[0] if len(s) else 1.0)
     return U[:, keep]
 
 
@@ -139,13 +139,13 @@ def _generalized_eigenspaces(mat: np.ndarray):
     return bases
 
 
-def _common_kernel(mats: list[np.ndarray], tol: float = 1e-10) -> np.ndarray:
+def _common_kernel(mats: list[np.ndarray]) -> np.ndarray:
     """Orthonormal basis of the intersection of kernels."""
     d = mats[0].shape[0]
     stacked = np.vstack(mats) if mats else np.zeros((1, d))
     U, s, Vh = np.linalg.svd(stacked)
     scale = max(1.0, s[0] if len(s) else 1.0)
-    null = [i for i in range(d) if i >= len(s) or s[i] <= tol * scale]
+    null = [i for i in range(d) if i >= len(s) or s[i] <= 1e-10 * scale]
     return np.conj(Vh[null, :].T) if null else np.zeros((d, 0), dtype=complex)
 
 
@@ -244,8 +244,7 @@ def _is_conjugation_stable(basis: np.ndarray) -> bool:
     return bool(np.abs(P - Pc).max() < 1e-8)
 
 
-def enumerate_flat_subbundles(bundle: FlatBundle, max_rank: int | None = None
-                              ) -> list[FlatSubbundle]:
+def enumerate_flat_subbundles(bundle: FlatBundle) -> list[FlatSubbundle]:
     """Proper nontrivial invariant subspaces of the monodromy family.
 
     Over the reals only conjugation-stable subspaces are kept (real flat
@@ -255,8 +254,6 @@ def enumerate_flat_subbundles(bundle: FlatBundle, max_rank: int | None = None
     r = bundle.rank
     if r > 6:
         raise RankTooLarge(f"enumeration supports rank <= 6, got {r}")
-    if max_rank is None:
-        max_rank = r - 1
     raw = _invariant_subspaces(bundle.monodromy)
     if bundle.field == "real":
         real_raw = []
@@ -278,8 +275,6 @@ def enumerate_flat_subbundles(bundle: FlatBundle, max_rank: int | None = None
     bases = _dedup(raw, r)
     out = []
     for B in bases:
-        if B.shape[1] > max_rank:
-            continue
         res = invariance_residual(bundle, B)
         if res > INVARIANCE_TOL:
             continue
@@ -351,7 +346,7 @@ def conjugate_splitting(bundle: FlatBundle):
     for _ in range(6):
         coeffs = rng.standard_normal(len(basis))
         candidates.append(sum(c * X for c, X in zip(coeffs, basis)))
-    cplx = FlatBundle([m.astype(complex) for m in bundle.monodromy], "complex")
+    cplx = FlatBundle(bundle.monodromy, "complex")
     for X in candidates:
         ev, vecs = np.linalg.eig(X)
         scale = max(1.0, np.abs(ev).max())

@@ -86,6 +86,23 @@ def test_config_rejects_bad_values(tmp_path):
     assert main(["solve", "--config", p]) == 1  # exit code 1 on validation
 
 
+@pytest.mark.parametrize("text, named", [
+    ("[torus]\nresolutoin = 16\n", "'resolutoin'"),
+    ("[solver]\nm-max = 50\n", "'m-max'"),
+    ("[torus]\ndim = two\n", "dim = 'two'"),
+    ("[torus]\ndim = 2\n[bundle]\nmonodromy1 = 1\nmonodromy3 = 1\n",
+     "monodromy2 is missing"),
+    ("[solvr]\nm_max = 50\n", "[solvr]"),
+    ("dim = 2\n", "malformed"),
+], ids=["misspelled-key", "hyphenated-key", "unparsable-int", "monodromy-gap",
+        "unknown-section", "no-section-header"])
+def test_config_rejects_unknown_and_unparsable_input(tmp_path, capsys, text, named):
+    p = write(tmp_path / "c.ini", text)
+    assert main(["gauduchon", "--config", p, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err
+
+
 def test_missing_config_is_validation_error():
     assert main(["solve", "--config", "/nonexistent/x.ini"]) == 1
 

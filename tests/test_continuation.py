@@ -19,6 +19,7 @@ from affinehe.continuation import (
     solve_scalar_elliptic,
     he_K_defect,
 )
+from affinehe.errors import Diverged
 from affinehe.forms import MetricField
 from affinehe.stability import stability_verdict
 from affinehe.torus import AffineTorus, random_smooth_scalar
@@ -229,6 +230,47 @@ def test_newton_at_solution_zero_iterations(t64, gI):
     prob = ContinuationProblem(b, t64, canonical_metric(b, t64), gI, 0.0)
     st = newton_solve(prob, 0.5, canonical_metric(b, t64))
     assert st.converged
+    assert st.history == []
+
+
+@pytest.fixture(scope="module")
+def polystable_t1():
+    """The eps = 1 problem of a T^1 N=32 diag(2,3) solve whose background is
+    perturbed with amplitude 0.1, modes 1, seed 0, built as the CLI builds
+    it.  Its first Newton step finds no better trial: the entry residual,
+    4.2e-10, is 33x the rel_target tolerance 0.03 * |L| = 1.3e-11."""
+    t = AffineTorus(1, 32)
+    g = MetricField(t, np.eye(1))
+    b = build_bundle([np.diag([2.0, 3.0]).astype(complex)])
+    h0p = canonical_metric(b, t) @ random_hermitian_metric(
+        b, t, np.random.default_rng(0), amplitude=0.1, modes=1)
+    h0p = 0.5 * (h0p + np.conj(np.swapaxes(h0p, -1, -2)))
+    gamma = einstein_constant(b, t, h0p, g)
+    H0, f1, _ = normalize_background(b, t, h0p, g, gamma)
+    return ContinuationProblem(b, t, H0, g, gamma), f1
+
+
+def test_newton_accepts_stall_within_stall_accept(polystable_t1):
+    prob, f1 = polystable_t1
+    st = newton_solve(prob, 1.0, f1, rel_target=0.03)
+    assert st.converged
+    # one rejected line search: f and its residual are the entry ones
+    assert np.array_equal(st.f, prob.calc0.hermitize(f1))
+    assert st.history == [(1.0, st.residual, st.m, st.det_defect)]
+    # accepted by the stall rule: 4.23e-10 against the target 0.03 * 4.23e-10
+    assert 4.2e-10 < st.residual < 4.3e-10
+
+
+def test_newton_stall_beyond_stall_accept_diverges(polystable_t1):
+    prob, f1 = polystable_t1
+    with pytest.raises(Diverged):
+        newton_solve(prob, 1.0, f1, rel_target=0.01)
+
+
+def test_newton_hands_off_hot_state_at_m_max(polystable_t1):
+    prob, f1 = polystable_t1
+    st = newton_solve(prob, 1.0, f1, m_max=0.0, rel_target=0.03)
+    assert not st.converged
     assert st.history == []
 
 
