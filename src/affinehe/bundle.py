@@ -32,6 +32,7 @@ K = g^{ij} Omega_{ij}, and c_1 = -del delbar log det H.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -99,6 +100,14 @@ class FlatBundle:
                         )
             self._logs = logs
         return self._logs
+
+    @cached_property
+    def ad_logs(self) -> list[np.ndarray | None]:
+        """Per axis, V -> B_k V - V B_k as the r^2 x r^2 matrix B_k (x) I -
+        I (x) B_k^T on row-major vectorized values; None where B_k = 0."""
+        eye = np.eye(self.rank)
+        return [np.kron(B, eye) - np.kron(eye, B.T) if B.any() else None
+                for B in self.logs]
 
     def gauge(self, torus: AffineTorus) -> "GaugeData":
         if torus.dim != self.n_axes:
@@ -173,9 +182,8 @@ class GaugeData:
 def d_herm(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray, axis: int) -> np.ndarray:
     """Flat-frame d/dx^axis of a bundle metric field, in the gauge."""
     B = bundle.logs[axis]
-    Bd = np.conj(B.T)
     dH = torus.partial(H, axis)
-    return dH - Bd @ H - H @ B
+    return dH - np.conj(B.T) @ H - H @ B if B.any() else dH
 
 
 def shift_equivariant(bundle: FlatBundle, torus: AffineTorus, values: np.ndarray,
@@ -327,16 +335,34 @@ def first_chern_form(bundle: FlatBundle, torus: AffineTorus,
     return -dolbeault_del(dolbeault_delbar(u))
 
 
-def covariant_del0(bundle: FlatBundle, torus: AffineTorus, theta0: Form,
+class Del0:
+    """del_0 = del + [theta_0, .] on endomorphism fields for one connection
+    theta_0: component k is (1/2) D_k phi + A_k phi, with the pointwise
+    r^2 x r^2 table A_k(x) = ad(theta_0,k(x)) + (1/2) ad(B_k) built once."""
+
+    def __init__(self, bundle: FlatBundle, torus: AffineTorus, theta0: Form):
+        if (theta0.p, theta0.q) != (1, 0):
+            raise ValidationError("theta0 must be an End-valued (1,0)-form")
+        self.bundle, self.torus = bundle, torus
+        r, eye = bundle.rank, np.eye(bundle.rank)
+        th = theta0.coeffs[..., 0, :, :]  # grid + (n, r, r)
+        ad_th = np.einsum("...ac,bd->...abcd", th, eye) - np.einsum("ac,...db->...abcd", eye, th)
+        ad_B = [np.zeros((r * r,) * 2) if B is None else B for B in bundle.ad_logs]
+        self.table = ad_th.reshape(th.shape[:-2] + (r * r,) * 2) + 0.5 * np.stack(ad_B)
+
+    def __call__(self, phi: np.ndarray) -> Form:
+        d = np.stack([self.torus.partial(phi, k) for k in range(self.torus.dim)], axis=-3)
+        vec = phi.reshape(phi.shape[:-2] + (-1,))
+        coeffs = 0.5 * d + np.einsum("...kij,...j->...ki", self.table, vec).reshape(d.shape)
+        return Form(self.torus, 1, 0, coeffs[..., None, :, :], self.bundle)
+
+
+def covariant_del0(bundle: FlatBundle, torus: AffineTorus, theta0,
                    phi: np.ndarray) -> Form:
-    """del_0 phi = del phi + [theta_0, phi] for an endomorphism field phi."""
-    if (theta0.p, theta0.q) != (1, 0):
-        raise ValidationError("theta0 must be an End-valued (1,0)-form")
-    out = dolbeault_del(Form.from_end(torus, bundle, phi))
-    for k in range(torus.dim):
-        th = theta0.coeffs[..., k, 0, :, :]
-        out.coeffs[..., k, 0, :, :] = out.coeffs[..., k, 0, :, :] + th @ phi - phi @ th
-    return out
+    """del_0 phi = del phi + [theta_0, phi] for an endomorphism field phi;
+    ``theta0`` is the (1,0)-form theta_0, or a ``Del0`` built from it once."""
+    op = theta0 if isinstance(theta0, Del0) else Del0(bundle, torus, theta0)
+    return op(phi)
 
 
 def second_fundamental_form(bundle: FlatBundle, torus: AffineTorus,
@@ -394,18 +420,13 @@ class HermCalculus:
     def herm_defect(self, F: np.ndarray) -> float:
         return float(np.abs(F - self.adjoint(F)).max())
 
-    def to_hermitian(self, F: np.ndarray) -> np.ndarray:
-        return self.sqrt @ F @ self.isqrt
-
     def from_hermitian(self, S: np.ndarray) -> np.ndarray:
         return self.isqrt @ S @ self.sqrt
 
     def eig(self, F: np.ndarray):
         """Eigenvalues (real, ascending) and h-orthonormal frame of an
         h-self-adjoint field."""
-        S = hermitize(self.to_hermitian(F))
-        w, U = np.linalg.eigh(S)
-        return w, U
+        return np.linalg.eigh(hermitize(self.sqrt @ F @ self.isqrt))
 
     def eigvals(self, F: np.ndarray) -> np.ndarray:
         return self.eig(F)[0]
@@ -414,9 +435,12 @@ class HermCalculus:
         w, U = self.eig(F)
         if floor is not None:
             w = np.maximum(w, floor)
-        fw = func(w)
-        S = (U * fw[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
-        return self.from_hermitian(S)
+        return self.from_eig(U, func(w))
+
+    def from_eig(self, U: np.ndarray, fw: np.ndarray) -> np.ndarray:
+        """The h-self-adjoint field with h-orthonormal eigenframe U (as
+        returned by ``eig``) and eigenvalues fw."""
+        return self.from_hermitian((U * fw[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2)))
 
     def log(self, F: np.ndarray) -> np.ndarray:
         return self.apply(F, np.log, floor=1e-30)
@@ -428,19 +452,14 @@ class HermCalculus:
     def power(self, F: np.ndarray, sigma: float) -> np.ndarray:
         return self.apply(F, lambda w: w**sigma, floor=1e-30)
 
-    def sqrt_of(self, F: np.ndarray) -> np.ndarray:
-        return self.power(F, 0.5)
-
-    def dlog(self, F: np.ndarray, Phi: np.ndarray) -> np.ndarray:
-        """Frechet derivative of log at the HPD field F in direction Phi.
-
-        Divided-difference (Daleckii-Krein) formula in the h-orthonormal
-        eigenframe of F; complex-linear in Phi.
-        """
+    def dlog(self, F: np.ndarray):
+        """The Frechet derivative Phi -> Dlog_F[Phi] of log at the HPD field
+        F (complex-linear), from one eigendecomposition: the Daleckii-Krein
+        P ((Q Phi P) * ratio) Q with P = h^{-1/2} U, Q = U^dag h^{1/2}."""
         w, U = self.eig(F)
         w = np.maximum(w, 1e-300)
-        Ud = np.conj(np.swapaxes(U, -1, -2))
-        M = Ud @ self.to_hermitian(Phi) @ U
+        P = self.isqrt @ U
+        Q = np.conj(np.swapaxes(U, -1, -2)) @ self.sqrt
         wi = w[..., :, None]
         wj = w[..., None, :]
         diff = wi - wj
@@ -450,8 +469,7 @@ class HermCalculus:
             2.0 / (wi + wj),
             np.log(np.where(small, 1.0, wi / wj)) / np.where(small, 1.0, diff),
         )
-        S = M * ratio
-        return self.from_hermitian(U @ S @ Ud)
+        return lambda Phi: P @ ((Q @ Phi @ P) * ratio) @ Q
 
     def inner(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Pointwise h-pairing tr(F G^*); scalar field."""

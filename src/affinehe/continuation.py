@@ -16,12 +16,14 @@ stops and hands the hot endomorphism to the destabilizer.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .bundle import (
+    Del0,
     FlatBundle,
     HermCalculus,
     canonical_metric,
@@ -141,6 +143,17 @@ def normalize_background(bundle: FlatBundle, torus: AffineTorus,
     return H0, f1, diagnostics
 
 
+@dataclass(frozen=True)
+class Linearization:
+    """What DL_eps(f) needs that depends only on f, frozen per Newton direction."""
+
+    eps: float
+    finv: np.ndarray          # f^{-1}
+    finv_d0f: np.ndarray      # f^{-1} del_0 f, (1,0)-form coefficients
+    sqrt_f: np.ndarray        # f^{1/2} (h_0-functional calculus)
+    dlog: Callable | None     # Phi -> Dlog_f[Phi]; None at eps = 0
+
+
 class ContinuationProblem:
     """Fixed data of one continuity-method run: bundle, grids, h_0, gamma."""
 
@@ -151,14 +164,25 @@ class ContinuationProblem:
         self.gG = gG
         self.rank = bundle.rank
         self.calc0 = HermCalculus(H0)
-        self.theta0 = hermitian_connection(bundle, torus, H0)
+        self.del0 = Del0(bundle, torus, hermitian_connection(bundle, torus, H0))
         self.K0 = mean_curvature(gG, bundle, torus, H0)
         self.eye = np.eye(bundle.rank)
         self.K0_shift = self.K0 - gamma * self.eye
         # symbol of -tr_g delbar del_0 at f = I
         self._symbol = laplacian_symbol(gG)
+        self.last_residual: np.ndarray | None = None
 
     # -- residual ----------------------------------------------------------
+    def _trace_delbar(self, coeffs: np.ndarray) -> np.ndarray:
+        """tr_g delbar of the End-valued (1,0)-form with these coefficients."""
+        return trace_g(self.gG, end_delbar(Form(self.torus, 1, 0, coeffs, self.bundle)))
+
+    def _log_derivative(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f^{-1} and the coefficients of f^{-1} del_0 f."""
+        finv = np.linalg.inv(f)
+        d0f = covariant_del0(self.bundle, self.torus, self.del0, f)
+        return finv, finv[..., None, None, :, :] @ d0f.coeffs
+
     def curvature_change(self, f: np.ndarray) -> np.ndarray:
         """tr_g delbar (f^{-1} del_0 f), with the same formula at every rank.
 
@@ -166,13 +190,7 @@ class ContinuationProblem:
         linear in log f only up to discretization error;
         ``linearize_residual`` is its exact derivative at every rank.
         """
-        bundle, torus = self.bundle, self.torus
-        a = Form.zero(torus, 1, 0, bundle)
-        finv = np.linalg.inv(f)
-        d0f = covariant_del0(bundle, torus, self.theta0, f)
-        for k in range(torus.dim):
-            a.coeffs[..., k, 0, :, :] = finv @ d0f.coeffs[..., k, 0, :, :]
-        return trace_g(self.gG, end_delbar(a))
+        return self._trace_delbar(self._log_derivative(f)[1])
 
     def residual(self, f: np.ndarray, eps: float) -> np.ndarray:
         """L_eps(f) as an endomorphism field (gauge storage)."""
@@ -184,37 +202,41 @@ class ContinuationProblem:
         return f @ self.residual(f, eps)
 
     def res_norm(self, f: np.ndarray, eps: float) -> float:
-        return self.calc0.sup_norm(self.residual(f, eps))
+        """sup_x |L_eps(f)|_{h_0}; the field L_eps(f) is kept in
+        ``last_residual`` for a caller that accepts f."""
+        self.last_residual = self.residual(f, eps)
+        return self.calc0.sup_norm(self.last_residual)
 
-    def m_value(self, f: np.ndarray) -> float:
-        """max over the grid of the flat-frame Frobenius norm of log f."""
-        gauge = self.bundle.gauge(self.torus)
-        logf_flat = gauge.end_to_flat(self.calc0.log(f))
-        return float(np.sqrt(
+    def m_and_det_defect(self, f: np.ndarray) -> tuple[float, float]:
+        """m = max over the grid of the flat-frame Frobenius norm of log f,
+        and sup |det f - 1|, from one eigendecomposition of f."""
+        w, U = self.calc0.eig(f)
+        logf = self.calc0.from_eig(U, np.log(np.maximum(w, 1e-30)))
+        logf_flat = self.bundle.gauge(self.torus).end_to_flat(logf)
+        m = float(np.sqrt(
             np.abs(np.einsum("...ab,...ab->...", logf_flat, np.conj(logf_flat)))
         ).max())
+        return m, float(np.abs(w.prod(axis=-1) - 1.0).max())
 
     def det_defect(self, f: np.ndarray) -> float:
-        w = self.calc0.eigvals(f)
-        return float(np.abs(w.prod(axis=-1) - 1.0).max())
+        return self.m_and_det_defect(f)[1]
 
     # -- linearization ------------------------------------------------------
-    def linearize_residual(self, f: np.ndarray, phi: np.ndarray,
-                           eps: float) -> np.ndarray:
-        """Directional derivative of L_eps at f in direction phi (analytic)."""
-        bundle, torus = self.bundle, self.torus
-        a = Form.zero(torus, 1, 0, bundle)
-        finv = np.linalg.inv(f)
-        d0f = covariant_del0(bundle, torus, self.theta0, f)
-        d0phi = covariant_del0(bundle, torus, self.theta0, phi)
-        for k in range(torus.dim):
-            dk = d0f.coeffs[..., k, 0, :, :]
-            a.coeffs[..., k, 0, :, :] = (
-                -finv @ phi @ finv @ dk + finv @ d0phi.coeffs[..., k, 0, :, :]
-            )
-        out = trace_g(self.gG, end_delbar(a))
-        if eps != 0.0:
-            out = out + eps * self.calc0.dlog(f, phi)
+    def linearization(self, f: np.ndarray, eps: float) -> Linearization:
+        """Freeze DL_eps at f: f^{-1}, f^{-1} del_0 f, f^{1/2} and Dlog_f."""
+        finv, finv_d0f = self._log_derivative(f)
+        dlog = self.calc0.dlog(f) if eps != 0.0 else None
+        return Linearization(eps, finv, finv_d0f, self.calc0.power(f, 0.5), dlog)
+
+    def linearize_residual(self, lin: Linearization, phi: np.ndarray) -> np.ndarray:
+        """The Krylov matvec: the derivative of L_eps at the f frozen in ``lin``
+        along phi, tr_g delbar (f^{-1}(del_0 phi - phi f^{-1} del_0 f)) + eps Dlog_f[phi]."""
+        d0phi = covariant_del0(self.bundle, self.torus, self.del0, phi)
+        a = lin.finv[..., None, None, :, :] @ (
+            d0phi.coeffs - phi[..., None, None, :, :] @ lin.finv_d0f)
+        out = self._trace_delbar(a)
+        if lin.dlog is not None:
+            out = out + lin.eps * lin.dlog(phi)
         return out
 
     def linearize_apply(self, f: np.ndarray, phi: np.ndarray, eps: float,
@@ -235,12 +257,11 @@ class ContinuationProblem:
         if mode != "analytic":
             raise ValidationError(f"unknown linearization mode {mode!r}")
         L = self.residual(f, eps)
-        return phi @ L + f @ self.linearize_residual(f, phi, eps)
+        return phi @ L + f @ self.linearize_residual(self.linearization(f, eps), phi)
 
     def principal_term(self, phi: np.ndarray) -> np.ndarray:
         """tr_g delbar del_0 phi, the second-order part of the linearization."""
-        d0phi = covariant_del0(self.bundle, self.torus, self.theta0, phi)
-        return trace_g(self.gG, end_delbar(d0phi))
+        return self._trace_delbar(covariant_del0(self.bundle, self.torus, self.del0, phi).coeffs)
 
     # -- inner linear solves -------------------------------------------------
     def _traceless(self, s: np.ndarray) -> np.ndarray:
@@ -254,8 +275,9 @@ class ContinuationProblem:
         tr = np.einsum("...aa->...", s) / self.rank
         return s - tr[..., None, None] * self.eye
 
-    def solve_newton_direction(self, f: np.ndarray, eps: float, L: np.ndarray):
-        """Solve DL(f)[f^{1/2} s f^{1/2}] = -L over traceless Hermitian s.
+    def solve_newton_direction(self, lin: Linearization, L: np.ndarray):
+        """Solve DL(f)[f^{1/2} s f^{1/2}] = -L over traceless Hermitian s,
+        with DL frozen at f in ``lin``.
 
         The traceless constraint restricts the step to determinant-preserving
         moves, where every solution lives (det f = 1); the pointwise-trace
@@ -273,15 +295,14 @@ class ContinuationProblem:
         solution path.  Raises LinearSolveStagnation when the relative
         residual stays above 0.9.
         """
-        r = self.rank
-        sqf = self.calc0.sqrt_of(f)
+        r, sqf, eps = self.rank, lin.sqrt_f, lin.eps
         b = self._traceless(-L).ravel()
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(L.shape, dtype=complex)
 
         A = self.torus.operator(lambda v: self._traceless(
-            self.linearize_residual(f, sqf @ self._traceless(v) @ sqf, eps)), (r, r))
+            self.linearize_residual(lin, sqf @ self._traceless(v) @ sqf)), (r, r))
         M = self.torus.operator(
             lambda v: self.torus.fft_divide(v, self._symbol + eps), (r, r))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -309,11 +330,10 @@ class ContinuationProblem:
         scale = np.exp(-logdet.real / self.rank)
         return f * scale[..., None, None]
 
-    def update(self, f: np.ndarray, s: np.ndarray, step: float = 1.0) -> np.ndarray:
-        """f -> f^{1/2} exp(step s) f^{1/2}; stays Hermitian positive."""
-        sqf = self.calc0.sqrt_of(f)
-        es = self.calc0.exp(step * s)
-        return self.calc0.hermitize(sqf @ es @ sqf)
+    def update(self, lin: Linearization, s: np.ndarray, step: float = 1.0) -> np.ndarray:
+        """f -> f^{1/2} exp(step s) f^{1/2} at the f frozen in ``lin``; stays
+        Hermitian positive."""
+        return self.calc0.hermitize(lin.sqrt_f @ self.calc0.exp(step * s) @ lin.sqrt_f)
 
 
 @dataclass
@@ -360,7 +380,8 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
     """
     f = problem.calc0.hermitize(np.asarray(f_init, dtype=complex))
     res = problem.res_norm(f, eps)
-    state = ContinuationState(eps, f, res, problem.m_value(f), problem.det_defect(f))
+    L = problem.last_residual
+    state = ContinuationState(eps, f, res, *problem.m_and_det_defect(f))
     hard_floor = 1e-14 * max(1.0, float(np.abs(problem.K0).max()))
     tol_eff = max(tol, hard_floor)
     if rel_target is not None:
@@ -370,27 +391,27 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
             break
         if m_max is not None and state.m >= m_max:
             return state
+        lin = problem.linearization(f, eps)
         try:
-            s = problem.solve_newton_direction(f, eps, problem.residual(f, eps))
+            s = problem.solve_newton_direction(lin, L)
         except LinearSolveStagnation as exc:
             raise Diverged(f"Newton at eps={eps:.3e}: {exc}") from exc
         best = None
         for k in range(9):
-            f_try = problem.renormalize_det(problem.update(f, s, 0.5**k))
+            f_try = problem.renormalize_det(problem.update(lin, s, 0.5**k))
             res_try = problem.res_norm(f_try, eps)
             if not np.isfinite(res_try):
                 continue
             if best is None or res_try < best[1]:
-                best = (f_try, res_try)
+                best = (f_try, res_try, problem.last_residual)
             if res_try < 0.3 * res:
                 break
         accepted = best is not None and best[1] < max(res * (1.0 - 1e-4), tol_eff)
         if accepted:
-            f, res = best
+            f, res, L = best
             state.f = f
             state.residual = res
-            state.m = problem.m_value(f)
-            state.det_defect = problem.det_defect(f)
+            state.m, state.det_defect = problem.m_and_det_defect(f)
         state.history.append((eps, res, state.m, state.det_defect))
         if not accepted:
             break

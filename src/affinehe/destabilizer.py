@@ -113,10 +113,7 @@ def extract_projection(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
             "(the state did not blow up)"
         )
 
-    sel = keep[..., None, :].astype(float)
-    P_keep = (U * sel) @ np.conj(np.swapaxes(U, -1, -2))
-    P_keep = calc.from_hermitian(P_keep)
-    return np.eye(bundle.rank) - P_keep
+    return np.eye(bundle.rank) - calc.from_eig(U, keep.astype(float))
 
 
 def validate_projection(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,

@@ -10,7 +10,9 @@ the bundle's periodic gauge.  The two Dolbeault operators act by
     delbar = (-1)^p (1/2) (I (x) d)   on the second slot,
 
 where d_k is the grid partial for scalar forms and the flat-frame
-derivative D_k F + [B_k, F] (B_k = log rho_k) for End-valued ones.
+derivative D_k F + [B_k, F] (B_k = log rho_k) for End-valued ones.  The
+commutator is one r^2 x r^2 contraction with the bundle's cached ad(B_k),
+skipped on axes where B_k = 0.
 
 On scalar forms, the wedge product carries the sign (-1)^{q1 p2} in front
 of the slot-wise exterior products, and conjugation maps a (p,q)-form to a
@@ -180,10 +182,11 @@ def _require_scalar(*forms: Form):
 def _flat_partial(omega: Form, values: np.ndarray, axis: int) -> np.ndarray:
     """Flat-frame d/dx^axis of coefficient values of omega."""
     d = omega.torus.partial(values, axis)
-    if omega.bundle is None:
+    ad = None if omega.bundle is None else omega.bundle.ad_logs[axis]
+    if ad is None:
         return d
-    B = omega.bundle.logs[axis]
-    return d + B @ values - values @ B
+    shape = values.shape
+    return d + (values.reshape(shape[:-2] + (-1,)) @ ad.T).reshape(shape)
 
 
 def dolbeault_del(omega: Form) -> Form:

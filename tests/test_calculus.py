@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from affinehe.bundle import (
+    build_bundle,
+    covariant_del0,
+    d_herm,
+    hermitian_connection,
+    random_hermitian_metric,
+)
 from affinehe.errors import ValidationError
 from affinehe.forms import (
     Form,
     MetricField,
+    _flat_partial,
     conjugate_form,
     div_by_nu,
     dolbeault_del,
@@ -39,6 +47,33 @@ def random_form(torus, rng, p, q, modes=3):
 # ---------------------------------------------------------------------------
 # partial derivatives
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_end_derivatives_match_matmul_reference(r, rng):
+    # the cached r^2 x r^2 contractions against the plain matrix products,
+    # on T^3 with B = 0 exactly on the middle axis
+    t = AffineTorus(3, 8)
+    J = np.eye(r) + np.eye(r, k=1)
+    b = build_bundle([J, np.eye(r), 2.0 * J])
+    assert b.ad_logs[1] is None and b.ad_logs[0] is not None
+    V = np.stack([random_smooth_scalar(t, rng, modes=2) for _ in range(r * r)],
+                 axis=-1).reshape(t.grid_shape + (r, r))
+    H = random_hermitian_metric(b, t, rng, amplitude=0.3, modes=1)
+    theta = hermitian_connection(b, t, H)
+    d0 = covariant_del0(b, t, theta, V)
+    omega = Form.from_end(t, b, V)
+    for k in range(3):
+        B = b.logs[k]
+        flat = t.partial(V, k) + B @ V - V @ B
+        got = _flat_partial(omega, V, k)
+        assert np.abs(got - flat).max() <= 1e-13 * np.abs(flat).max()
+        th = theta.coeffs[..., k, 0, :, :]
+        ref = 0.5 * flat + th @ V - V @ th
+        got = d0.coeffs[..., k, 0, :, :]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref = t.partial(H, k) - np.conj(B.T) @ H - H @ B
+        assert np.abs(d_herm(b, t, H, k) - ref).max() <= 1e-13 * np.abs(ref).max()
+
 
 def test_partial_constant_is_zero():
     t = AffineTorus(2, 16)

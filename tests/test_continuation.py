@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from affinehe.bundle import (
     HermCalculus,
@@ -198,6 +199,71 @@ def test_linearize_fd_vs_analytic_random_states(t64, gI, rng):
         an = prob.linearize_apply(f, phi, 0.4)
         fd = prob.linearize_apply(f, phi, 0.4, mode="fd")
         assert np.abs(an - fd).max() <= 1e-5 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.4])
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_linearize_fd_vs_analytic_grid(dim, backend, r, eps):
+    # unipotent on axis 0, identity (B = 0 exactly) on axis 1, twice
+    # unipotent on axis 2; a perturbed background, so theta_0 varies
+    rng = np.random.default_rng(100 * dim + 10 * r + (backend == "fd"))
+    t = AffineTorus(dim, 16 if dim == 1 else 8, backend)
+    g = MetricField(t, np.eye(dim))
+    J = np.eye(r) + np.eye(r, k=1)
+    b = build_bundle([J, np.eye(r), 2.0 * J][:dim])
+    H0 = random_hermitian_metric(b, t, rng, amplitude=0.2, modes=1)
+    prob = ContinuationProblem(b, t, H0, g, 0.0)
+    calc = prob.calc0
+    f = calc.from_hermitian(random_hermitian_metric(b, t, rng, amplitude=0.3, modes=1))
+    phi = calc.hermitize(random_hermitian_metric(b, t, rng, modes=1) - np.eye(r))
+    an = prob.linearize_apply(f, phi, eps)
+    fd = prob.linearize_apply(f, phi, eps, mode="fd")
+    assert np.abs(an - fd).max() <= 1e-5 * np.abs(fd).max()
+
+
+def test_newton_direction_freezes_linearization(monkeypatch):
+    # the blowup_t2 benchmark input: every lgmres matvec is one
+    # linearize_residual call, and a direction's eigendecompositions do not
+    # grow with its matvecs
+    t = AffineTorus(2, 16)
+    g = MetricField(t, np.eye(2))
+    b = build_bundle([UNIPOTENT, np.eye(2)])
+    H0, f1, _ = normalize_background(b, t, canonical_metric(b, t), g)
+    prob = ContinuationProblem(b, t, H0, g, 0.0)
+    far = prob.renormalize_det(prob.calc0.from_hermitian(random_hermitian_metric(
+        b, t, np.random.default_rng(0), amplitude=0.3, modes=1)))
+    counts = dict(eig=0, linearize=0, matvec=0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    lgmres = spla.lgmres
+
+    def counting_lgmres(A, rhs, **kwargs):
+        op = spla.LinearOperator(A.shape, dtype=A.dtype,
+                                 matvec=counting("matvec", A.matvec))
+        return lgmres(op, rhs, **kwargs)
+
+    monkeypatch.setattr(HermCalculus, "eig", counting("eig", HermCalculus.eig))
+    monkeypatch.setattr(ContinuationProblem, "linearize_residual",
+                        counting("linearize", ContinuationProblem.linearize_residual))
+    monkeypatch.setattr(spla, "lgmres", counting_lgmres)
+    per_solve = []
+    for f in (f1, far):
+        L = prob.residual(f, 0.5)
+        counts.update(eig=0, linearize=0, matvec=0)
+        prob.solve_newton_direction(prob.linearization(f, 0.5), L)
+        per_solve.append(dict(counts))
+    for c in per_solve:
+        # one more for the relative-residual check after lgmres
+        assert c["linearize"] == c["matvec"] + 1
+    assert per_solve[0]["matvec"] < per_solve[1]["matvec"]
+    assert per_solve[0]["eig"] == per_solve[1]["eig"]
 
 
 def test_linearize_richardson_order(t64, gI, rng):
