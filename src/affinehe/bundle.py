@@ -161,18 +161,18 @@ class GaugeData:
 
     # conversions between the flat frame and the periodic gauge
     def end_to_gauge(self, F_flat: np.ndarray) -> np.ndarray:
-        return self.W @ F_flat @ self.Winv
+        return pmul(self.W, F_flat, self.Winv)
 
     def end_to_flat(self, F_gauge: np.ndarray) -> np.ndarray:
-        return self.Winv @ F_gauge @ self.W
+        return pmul(self.Winv, F_gauge, self.W)
 
     def herm_to_gauge(self, H_flat: np.ndarray) -> np.ndarray:
         Winv_dag = np.conj(np.swapaxes(self.Winv, -1, -2))
-        return Winv_dag @ H_flat @ self.Winv
+        return pmul(Winv_dag, H_flat, self.Winv)
 
     def herm_to_flat(self, H_gauge: np.ndarray) -> np.ndarray:
         W_dag = np.conj(np.swapaxes(self.W, -1, -2))
-        return W_dag @ H_gauge @ self.W
+        return pmul(W_dag, H_gauge, self.W)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def d_herm(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray, axis: int) -> 
     """Flat-frame d/dx^axis of a bundle metric field, in the gauge."""
     B = bundle.logs[axis]
     dH = torus.partial(H, axis)
-    return dH - np.conj(B.T) @ H - H @ B if B.any() else dH
+    return dH - pmul(np.conj(B.T), H) - pmul(H, B) if B.any() else dH
 
 
 def shift_equivariant(bundle: FlatBundle, torus: AffineTorus, values: np.ndarray,
@@ -238,6 +238,18 @@ def check_hpd(H: np.ndarray) -> None:
 
 def hermitize(H: np.ndarray) -> np.ndarray:
     return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
+
+
+def pmul(A: np.ndarray, *Bs: np.ndarray) -> np.ndarray:
+    """Pointwise matrix product A B_1 B_2 ... (left to right) of stacked
+    fields or constant matrices, as broadcast multiply-adds over the inner
+    index: numpy's stacked ``@`` makes one small BLAS call per grid point."""
+    for B in Bs:
+        out = A[..., :, 0, None] * B[..., 0, None, :]
+        for j in range(1, A.shape[-1]):
+            out += A[..., :, j, None] * B[..., j, None, :]
+        A = out
+    return A
 
 
 def canonical_metric(bundle: FlatBundle, torus: AffineTorus) -> np.ndarray:
@@ -306,7 +318,7 @@ def hermitian_connection(bundle: FlatBundle, torus: AffineTorus,
     out = Form.zero(torus, 1, 0, bundle)
     Hinv = np.linalg.inv(H)
     for k in range(torus.dim):
-        out.coeffs[..., k, 0, :, :] = Hinv @ (0.5 * d_herm(bundle, torus, H, k))
+        out.coeffs[..., k, 0, :, :] = pmul(Hinv, 0.5 * d_herm(bundle, torus, H, k))
     return out
 
 
@@ -374,9 +386,9 @@ def second_fundamental_form(bundle: FlatBundle, torus: AffineTorus,
     r = bundle.rank
     eye = np.eye(r)
     tol = 1e-8
-    proj_defect = np.abs(pi @ pi - pi).max()
+    proj_defect = np.abs(pmul(pi, pi) - pi).max()
     Hinv = np.linalg.inv(H)
-    adj = Hinv @ np.conj(np.swapaxes(pi, -1, -2)) @ H
+    adj = pmul(Hinv, np.conj(np.swapaxes(pi, -1, -2)), H)
     adj_defect = np.abs(adj - pi).max()
     if proj_defect > tol or adj_defect > tol:
         raise NotAProjection(
@@ -386,7 +398,7 @@ def second_fundamental_form(bundle: FlatBundle, torus: AffineTorus,
     theta = hermitian_connection(bundle, torus, H)
     d0pi = covariant_del0(bundle, torus, theta, pi)
     comp = eye - pi
-    return Form(torus, 1, 0, comp[..., None, None, :, :] @ d0pi.coeffs, bundle)
+    return Form(torus, 1, 0, pmul(comp[..., None, None, :, :], d0pi.coeffs), bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +418,13 @@ class HermCalculus:
         self.H = H
         w, U = np.linalg.eigh(hermitize(H))
         Ud = np.conj(np.swapaxes(U, -1, -2))
-        self.sqrt = (U * np.sqrt(w)[..., None, :]) @ Ud
-        self.isqrt = (U * (1.0 / np.sqrt(w))[..., None, :]) @ Ud
+        self.sqrt = pmul(U * np.sqrt(w)[..., None, :], Ud)
+        self.isqrt = pmul(U * (1.0 / np.sqrt(w))[..., None, :], Ud)
 
     def adjoint(self, F: np.ndarray) -> np.ndarray:
         """h-adjoint F^* = h^{-1} F^dag h."""
         Fd = np.conj(np.swapaxes(F, -1, -2))
-        return self.isqrt @ (self.isqrt @ Fd @ self.sqrt) @ self.sqrt
+        return pmul(self.isqrt, pmul(self.isqrt, Fd, self.sqrt), self.sqrt)
 
     def hermitize(self, F: np.ndarray) -> np.ndarray:
         return 0.5 * (F + self.adjoint(F))
@@ -421,12 +433,12 @@ class HermCalculus:
         return float(np.abs(F - self.adjoint(F)).max())
 
     def from_hermitian(self, S: np.ndarray) -> np.ndarray:
-        return self.isqrt @ S @ self.sqrt
+        return pmul(self.isqrt, S, self.sqrt)
 
     def eig(self, F: np.ndarray):
         """Eigenvalues (real, ascending) and h-orthonormal frame of an
         h-self-adjoint field."""
-        return np.linalg.eigh(hermitize(self.sqrt @ F @ self.isqrt))
+        return np.linalg.eigh(hermitize(pmul(self.sqrt, F, self.isqrt)))
 
     def eigvals(self, F: np.ndarray) -> np.ndarray:
         return self.eig(F)[0]
@@ -440,7 +452,7 @@ class HermCalculus:
     def from_eig(self, U: np.ndarray, fw: np.ndarray) -> np.ndarray:
         """The h-self-adjoint field with h-orthonormal eigenframe U (as
         returned by ``eig``) and eigenvalues fw."""
-        return self.from_hermitian((U * fw[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2)))
+        return self.from_hermitian(pmul(U * fw[..., None, :], np.conj(np.swapaxes(U, -1, -2))))
 
     def log(self, F: np.ndarray) -> np.ndarray:
         return self.apply(F, np.log, floor=1e-30)
@@ -458,8 +470,8 @@ class HermCalculus:
         P ((Q Phi P) * ratio) Q with P = h^{-1/2} U, Q = U^dag h^{1/2}."""
         w, U = self.eig(F)
         w = np.maximum(w, 1e-300)
-        P = self.isqrt @ U
-        Q = np.conj(np.swapaxes(U, -1, -2)) @ self.sqrt
+        P = pmul(self.isqrt, U)
+        Q = pmul(np.conj(np.swapaxes(U, -1, -2)), self.sqrt)
         wi = w[..., :, None]
         wj = w[..., None, :]
         diff = wi - wj
@@ -469,15 +481,16 @@ class HermCalculus:
             2.0 / (wi + wj),
             np.log(np.where(small, 1.0, wi / wj)) / np.where(small, 1.0, diff),
         )
-        return lambda Phi: P @ ((Q @ Phi @ P) * ratio) @ Q
+        return lambda Phi: pmul(P, pmul(Q, Phi, P) * ratio, Q)
 
     def inner(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Pointwise h-pairing tr(F G^*); scalar field."""
         return np.einsum("...ab,...ba->...", F, self.adjoint(G))
 
     def norm(self, F: np.ndarray) -> np.ndarray:
-        """Pointwise h-Frobenius norm |F|; real scalar field."""
-        return np.sqrt(np.maximum(self.inner(F, F).real, 0.0))
+        """Pointwise h-Frobenius norm |F| = sqrt tr(F F^*), the Frobenius
+        norm of h^{1/2} F h^{-1/2}; real scalar field."""
+        return np.linalg.norm(pmul(self.sqrt, F, self.isqrt), axis=(-2, -1))
 
     def sup_norm(self, F: np.ndarray) -> float:
         return float(self.norm(F).max())

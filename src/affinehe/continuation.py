@@ -32,6 +32,7 @@ from .bundle import (
     hermitian_connection,
     hermitize,
     mean_curvature,
+    pmul,
 )
 from .errors import (
     Diverged,
@@ -132,7 +133,7 @@ def normalize_background(bundle: FlatBundle, torus: AffineTorus,
     eye = np.eye(r)
     f1 = calc1.exp(-(K1 - gamma * eye))
     f1 = calc1.hermitize(f1)
-    H0 = hermitize(H1 @ np.linalg.inv(f1))
+    H0 = hermitize(pmul(H1, np.linalg.inv(f1)))
     diagnostics = {
         "gamma": gamma,
         "trK_defect": tr_defect,
@@ -181,7 +182,7 @@ class ContinuationProblem:
         """f^{-1} and the coefficients of f^{-1} del_0 f."""
         finv = np.linalg.inv(f)
         d0f = covariant_del0(self.bundle, self.torus, self.del0, f)
-        return finv, finv[..., None, None, :, :] @ d0f.coeffs
+        return finv, pmul(finv[..., None, None, :, :], d0f.coeffs)
 
     def curvature_change(self, f: np.ndarray) -> np.ndarray:
         """tr_g delbar (f^{-1} del_0 f), with the same formula at every rank.
@@ -199,7 +200,7 @@ class ContinuationProblem:
 
     def residual_hat(self, f: np.ndarray, eps: float) -> np.ndarray:
         """f L_eps(f), Hermitian with respect to h_0 up to discretization."""
-        return f @ self.residual(f, eps)
+        return pmul(f, self.residual(f, eps))
 
     def res_norm(self, f: np.ndarray, eps: float) -> float:
         """sup_x |L_eps(f)|_{h_0}; the field L_eps(f) is kept in
@@ -218,9 +219,6 @@ class ContinuationProblem:
         ).max())
         return m, float(np.abs(w.prod(axis=-1) - 1.0).max())
 
-    def det_defect(self, f: np.ndarray) -> float:
-        return self.m_and_det_defect(f)[1]
-
     # -- linearization ------------------------------------------------------
     def linearization(self, f: np.ndarray, eps: float) -> Linearization:
         """Freeze DL_eps at f: f^{-1}, f^{-1} del_0 f, f^{1/2} and Dlog_f."""
@@ -232,8 +230,8 @@ class ContinuationProblem:
         """The Krylov matvec: the derivative of L_eps at the f frozen in ``lin``
         along phi, tr_g delbar (f^{-1}(del_0 phi - phi f^{-1} del_0 f)) + eps Dlog_f[phi]."""
         d0phi = covariant_del0(self.bundle, self.torus, self.del0, phi)
-        a = lin.finv[..., None, None, :, :] @ (
-            d0phi.coeffs - phi[..., None, None, :, :] @ lin.finv_d0f)
+        a = pmul(lin.finv[..., None, None, :, :],
+                 d0phi.coeffs - pmul(phi[..., None, None, :, :], lin.finv_d0f))
         out = self._trace_delbar(a)
         if lin.dlog is not None:
             out = out + lin.eps * lin.dlog(phi)
@@ -257,7 +255,7 @@ class ContinuationProblem:
         if mode != "analytic":
             raise ValidationError(f"unknown linearization mode {mode!r}")
         L = self.residual(f, eps)
-        return phi @ L + f @ self.linearize_residual(self.linearization(f, eps), phi)
+        return pmul(phi, L) + pmul(f, self.linearize_residual(self.linearization(f, eps), phi))
 
     def principal_term(self, phi: np.ndarray) -> np.ndarray:
         """tr_g delbar del_0 phi, the second-order part of the linearization."""
@@ -302,7 +300,7 @@ class ContinuationProblem:
             return np.zeros(L.shape, dtype=complex)
 
         A = self.torus.operator(lambda v: self._traceless(
-            self.linearize_residual(lin, sqf @ self._traceless(v) @ sqf)), (r, r))
+            self.linearize_residual(lin, pmul(sqf, self._traceless(v), sqf))), (r, r))
         M = self.torus.operator(
             lambda v: self.torus.fft_divide(v, self._symbol + eps), (r, r))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -333,7 +331,7 @@ class ContinuationProblem:
     def update(self, lin: Linearization, s: np.ndarray, step: float = 1.0) -> np.ndarray:
         """f -> f^{1/2} exp(step s) f^{1/2} at the f frozen in ``lin``; stays
         Hermitian positive."""
-        return self.calc0.hermitize(lin.sqrt_f @ self.calc0.exp(step * s) @ lin.sqrt_f)
+        return self.calc0.hermitize(pmul(lin.sqrt_f, self.calc0.exp(step * s), lin.sqrt_f))
 
 
 @dataclass

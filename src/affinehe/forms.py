@@ -185,8 +185,7 @@ def _flat_partial(omega: Form, values: np.ndarray, axis: int) -> np.ndarray:
     ad = None if omega.bundle is None else omega.bundle.ad_logs[axis]
     if ad is None:
         return d
-    shape = values.shape
-    return d + (values.reshape(shape[:-2] + (-1,)) @ ad.T).reshape(shape)
+    return d + (values.reshape(-1, ad.shape[0]) @ ad.T).reshape(values.shape)
 
 
 def dolbeault_del(omega: Form) -> Form:

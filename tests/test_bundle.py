@@ -179,6 +179,16 @@ def test_mean_curvature_h_self_adjoint(t64, gI, rng):
     assert calc.herm_defect(K) < 1e-8
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_norm_is_sqrt_of_inner(r, t64, rng):
+    b = build_bundle([np.eye(r)])
+    calc = HermCalculus(random_hermitian_metric(b, t64, rng, amplitude=0.5))
+    F = rng.standard_normal(t64.grid_shape + (r, r)) + 1j * rng.standard_normal(
+        t64.grid_shape + (r, r))
+    ref = np.sqrt(calc.inner(F, F).real)
+    assert np.abs(calc.norm(F) - ref).max() <= 1e-13 * ref.max()
+
+
 def test_real_bundle_reality(t64, gI, rng):
     th = np.sqrt(2) * np.pi
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])

@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
 from affinehe.bundle import (
+    HermCalculus,
     build_bundle,
     covariant_del0,
     d_herm,
+    end_delbar,
     hermitian_connection,
+    pmul,
     random_hermitian_metric,
 )
-from affinehe.errors import ValidationError
+from affinehe.continuation import ContinuationProblem
+from affinehe.errors import LinearSolveStagnation, ValidationError
 from affinehe.forms import (
     Form,
     MetricField,
@@ -73,6 +78,85 @@ def test_end_derivatives_match_matmul_reference(r, rng):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         ref = t.partial(H, k) - np.conj(B.T) @ H - H @ B
         assert np.abs(d_herm(b, t, H, k) - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref = np.linalg.inv(H) @ (0.5 * ref)
+        assert np.abs(theta.coeffs[..., k, 0, :, :] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def close(got, ref):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def dag(X):
+        return np.conj(np.swapaxes(X, -1, -2))
+
+    # the Hermitian calculus of h = H against plain products
+    calc = HermCalculus(H)
+    wH, UH = np.linalg.eigh(H)
+    sq = (UH * np.sqrt(wH)[..., None, :]) @ dag(UH)
+    isq = np.linalg.inv(sq)
+    close(calc.adjoint(V), np.linalg.inv(H) @ dag(V) @ H)
+    X = calc.hermitize(0.3 * V)
+    f = calc.exp(X)
+    w, U = np.linalg.eigh(0.5 * (sq @ f @ isq + dag(sq @ f @ isq)))
+    close(calc.from_eig(U, np.sqrt(w)), isq @ (U * np.sqrt(w)[..., None, :]) @ dag(U) @ sq)
+    wi, wj = w[..., :, None], w[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wi == wj, 1.0 / wi, np.log(wi / wj) / (wi - wj))
+
+    def dlog_ref(Phi):
+        return isq @ U @ ((dag(U) @ sq @ Phi @ isq @ U) * ratio) @ dag(U) @ sq
+
+    close(calc.dlog(f)(V), dlog_ref(V))
+
+    # the Krylov operator of one Newton direction solve at eps = 1/2
+    g = MetricField(t, np.eye(3))
+    prob = ContinuationProblem(b, t, H, g, 0.0)
+    lin = prob.linearization(f, 0.5)
+    captured = {}
+
+    def capture(A, rhs, **kwargs):
+        captured["A"] = A
+        return np.zeros_like(rhs), 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spla, "lgmres", capture)
+        with pytest.raises(LinearSolveStagnation):
+            prob.solve_newton_direction(lin, V)
+    finv = np.linalg.inv(f)
+    d0f = covariant_del0(b, t, theta, f).coeffs
+    finv_d0f = finv[..., None, None, :, :] @ d0f
+    sqf = isq @ (U * np.sqrt(w)[..., None, :]) @ dag(U) @ sq
+
+    def traceless(s):
+        return s - (np.einsum("...aa->...", s) / r)[..., None, None] * np.eye(r)
+
+    def matvec_ref(v):
+        phi = sqf @ traceless(v) @ sqf
+        d0phi = covariant_del0(b, t, theta, phi).coeffs
+        a = finv[..., None, None, :, :] @ (d0phi - phi[..., None, None, :, :] @ finv_d0f)
+        out = trace_g(g, end_delbar(Form(t, 1, 0, a, b))) + 0.5 * dlog_ref(phi)
+        return traceless(out)
+
+    close(captured["A"].matvec(V.ravel()).reshape(V.shape), matvec_ref(V))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_pmul_matches_matmul(r, rng):
+    # field x field, the (1,0)-form slot shapes of the Newton matvec, a
+    # constant matrix on either side, and a left-to-right triple product
+    def field(*shape):
+        shape = shape + (r, r)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    grid = (6, 5)
+    F, G, C = field(*grid), field(*grid), field()
+    slot = F[..., None, None, :, :]
+    for ops in [(F, G), (slot, field(*grid, 2, 1)), (field(*grid, 2, 1), slot),
+                (C, F), (F, C), (C, F, G)]:
+        ref = ops[0]
+        for B in ops[1:]:
+            ref = np.matmul(ref, B)
+        got = pmul(*ops)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_partial_constant_is_zero():
