@@ -131,6 +131,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         },
         "steps": len(result.history),
     }
+    for key in ("newton_directions", "krylov_matvecs", "lgmres_unconverged"):
+        payload[key] = result.diagnostics[key]
     if result.status == "converged":
         payload["K_defect"] = {"value": result.K_defect, "tolerance": 1e-6}
         dump_field(out / "final_metric.txt", torus,

@@ -172,6 +172,8 @@ class ContinuationProblem:
         # symbol of -tr_g delbar del_0 at f = I
         self._symbol = laplacian_symbol(gG)
         self.last_residual: np.ndarray | None = None
+        # Krylov work of the run; lgmres_unconverged counts stops with info != 0
+        self.work = dict(newton_directions=0, krylov_matvecs=0, lgmres_unconverged=0)
 
     # -- residual ----------------------------------------------------------
     def _trace_delbar(self, coeffs: np.ndarray) -> np.ndarray:
@@ -273,9 +275,10 @@ class ContinuationProblem:
         tr = np.einsum("...aa->...", s) / self.rank
         return s - tr[..., None, None] * self.eye
 
-    def solve_newton_direction(self, lin: Linearization, L: np.ndarray):
+    def solve_newton_direction(self, lin: Linearization, L: np.ndarray, eta: float):
         """Solve DL(f)[f^{1/2} s f^{1/2}] = -L over traceless Hermitian s,
-        with DL frozen at f in ``lin``.
+        with DL frozen at f in ``lin``, to the relative linear residual
+        ``eta`` that ``newton_solve`` takes from ``forcing_term``.
 
         The traceless constraint restricts the step to determinant-preserving
         moves, where every solution lives (det f = 1); the pointwise-trace
@@ -293,7 +296,8 @@ class ContinuationProblem:
         solution path.  Raises LinearSolveStagnation when the relative
         residual stays above 0.9.
         """
-        r, sqf, eps = self.rank, lin.sqrt_f, lin.eps
+        r, sqf, eps, work = self.rank, lin.sqrt_f, lin.eps, self.work
+        work["newton_directions"] += 1
         b = self._traceless(-L).ravel()
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
@@ -301,11 +305,17 @@ class ContinuationProblem:
 
         A = self.torus.operator(lambda v: self._traceless(
             self.linearize_residual(lin, pmul(sqf, self._traceless(v), sqf))), (r, r))
+
+        def counted(v):
+            work["krylov_matvecs"] += 1
+            return A.matvec(v)
         M = self.torus.operator(
             lambda v: self.torus.fft_divide(v, self._symbol + eps), (r, r))
         with np.errstate(over="ignore", invalid="ignore"):
-            x, _ = spla.lgmres(A, b, M=M, rtol=1e-8, atol=1e-8 * bnorm,
-                               maxiter=60, inner_m=30)
+            x, info = spla.lgmres(
+                spla.LinearOperator(A.shape, matvec=counted, dtype=complex), b,
+                M=M, rtol=eta, atol=eta * bnorm, maxiter=60, inner_m=30)
+        work["lgmres_unconverged"] += info != 0
         res = np.inf
         if np.isfinite(x).all():
             res = np.linalg.norm(A.matvec(x) - b) / bnorm
@@ -359,6 +369,15 @@ class HEResult:
 
 STALL_ACCEPT = 50.0  # accept a stalled Newton iterate within this factor of tol
 MAX_NEWTON = 30
+ETA_MAX, ETA_MIN = 0.1, 1e-8  # bounds of the inexact-Newton forcing term
+
+
+def forcing_term(tol_eff: float, res: float) -> float:
+    """Relative residual for a Newton direction's Krylov solve: half the cut
+    from res to tol_eff, clipped to [ETA_MIN, ETA_MAX].  The lgmres residual
+    is then about tol_eff / 2, so the inexact solve alone cannot keep the step
+    from the target, and a tighter solve would only oversolve."""
+    return min(ETA_MAX, max(ETA_MIN, 0.5 * tol_eff / res))
 
 
 def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
@@ -374,7 +393,8 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
     STALL_ACCEPT of the target counts as converged, since discretization
     bounds the achievable residual below; a larger one raises Diverged, as
     does a stagnating linear solve.  Returns early, unconverged, with the
-    hot state when m crosses m_max (blow-up hand-off).
+    hot state when m crosses m_max (blow-up hand-off).  Newton is inexact:
+    each direction is solved only to ``forcing_term(tol_eff, res)``.
     """
     f = problem.calc0.hermitize(np.asarray(f_init, dtype=complex))
     res = problem.res_norm(f, eps)
@@ -391,7 +411,7 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
             return state
         lin = problem.linearization(f, eps)
         try:
-            s = problem.solve_newton_direction(lin, L)
+            s = problem.solve_newton_direction(lin, L, forcing_term(tol_eff, res))
         except LinearSolveStagnation as exc:
             raise Diverged(f"Newton at eps={eps:.3e}: {exc}") from exc
         best = None
@@ -462,7 +482,7 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
 
     def stop(status: str, blowup_data: np.ndarray | None = None, **diag) -> HEResult:
         return HEResult(status, None, gamma, np.inf, blowup_data, history, H0,
-                        norm_diag | diag)
+                        norm_diag | problem.work | diag)
 
     for steps in range(1, max_steps + 1):
         try:
@@ -499,7 +519,7 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
                     Hfin = hermitize(H0 @ st0.f)
                     Kdef = _K_defect(gG, bundle, torus, Hfin, gamma)
                     return HEResult("converged", Hfin, gamma, Kdef, None, history,
-                                    H0, norm_diag)
+                                    H0, norm_diag | problem.work)
         eps *= factor
     return stop("max-iters", message="step budget exhausted")
 

@@ -119,7 +119,7 @@ def test_end_derivatives_match_matmul_reference(r, rng):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spla, "lgmres", capture)
         with pytest.raises(LinearSolveStagnation):
-            prob.solve_newton_direction(lin, V)
+            prob.solve_newton_direction(lin, V, 1e-8)
     finv = np.linalg.inv(f)
     d0f = covariant_del0(b, t, theta, f).coeffs
     finv_d0f = finv[..., None, None, :, :] @ d0f

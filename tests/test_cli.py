@@ -136,6 +136,41 @@ def test_cli_solve_blowup_chains_destabilizer(tmp_path):
         assert item["value"] <= item["tolerance"], key
 
 
+def test_cli_unipotent_conformal_sin_blows_up(tmp_path):
+    # the unipotent bundle under a conformal_sin metric blows up to span(e1);
+    # with each Newton direction solved only to its forcing term the whole
+    # run stays under 2000 lgmres matvecs (at rtol 1e-8 one eps = 0 probe
+    # takes more than 7,000)
+    cfg = """
+[torus]
+dim = 2
+resolution = 16
+
+[metric]
+type = conformal_sin
+amplitude = 0.3
+axis = 1
+
+[bundle]
+rank = 2
+monodromy1 = 1 1 0 1
+monodromy2 = 1 0 0 1
+
+[output]
+dir = {out}
+"""
+    p = write(tmp_path / "c.ini", cfg.format(out=tmp_path / "out"))
+    assert main(["solve", "--config", p, "--quiet"]) == 0
+    rep = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert rep["status"] == "blowup"
+    assert rep["krylov_matvecs"] <= 2000
+    assert rep["newton_directions"] > 0
+    dest = json.loads((tmp_path / "out" / "destabilizer_report.json").read_text())
+    assert dest["rank"] == 1
+    basis = np.array([complex(a, b) for a, b in dest["subbundle_basis"]])
+    assert np.abs(np.abs(basis) - [1.0, 0.0]).max() < 1e-10
+
+
 def test_cli_destabilize_from_dumped_state(tmp_path):
     p = write(tmp_path / "c.ini", BASE.format(
         N=32, rank=2, field="complex", monodromy="monodromy1 = 1 1 0 1",

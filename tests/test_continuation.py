@@ -11,9 +11,12 @@ from affinehe.bundle import (
     random_hermitian_metric,
 )
 from affinehe.continuation import (
+    ETA_MAX,
+    ETA_MIN,
     STALL_ACCEPT,
     ContinuationProblem,
     einstein_constant,
+    forcing_term,
     newton_solve,
     normalize_background,
     real_he_metric,
@@ -258,13 +261,62 @@ def test_newton_direction_freezes_linearization(monkeypatch):
     for f in (f1, far):
         L = prob.residual(f, 0.5)
         counts.update(eig=0, linearize=0, matvec=0)
-        prob.solve_newton_direction(prob.linearization(f, 0.5), L)
+        prob.solve_newton_direction(prob.linearization(f, 0.5), L, 1e-8)
         per_solve.append(dict(counts))
     for c in per_solve:
         # one more for the relative-residual check after lgmres
         assert c["linearize"] == c["matvec"] + 1
     assert per_solve[0]["matvec"] < per_solve[1]["matvec"]
     assert per_solve[0]["eig"] == per_solve[1]["eig"]
+
+
+def test_newton_direction_stops_at_its_forcing_term(monkeypatch):
+    # the blowup_t2 benchmark input away from the solution: lgmres stops at
+    # the relative residual it is given, and a loose one takes fewer matvecs
+    t = AffineTorus(2, 16)
+    g = MetricField(t, np.eye(2))
+    b = build_bundle([UNIPOTENT, np.eye(2)])
+    H0, _, _ = normalize_background(b, t, canonical_metric(b, t), g)
+    prob = ContinuationProblem(b, t, H0, g, 0.0)
+    far = prob.renormalize_det(prob.calc0.from_hermitian(random_hermitian_metric(
+        b, t, np.random.default_rng(0), amplitude=0.3, modes=1)))
+    solves = []
+    lgmres = spla.lgmres
+
+    def recording_lgmres(A, rhs, **kwargs):
+        x, info = lgmres(A, rhs, **kwargs)
+        solves.append((A, rhs, x, info))
+        return x, info
+
+    monkeypatch.setattr(spla, "lgmres", recording_lgmres)
+    lin, L = prob.linearization(far, 0.5), prob.residual(far, 0.5)
+    matvecs = {}
+    for eta in (1e-2, 1e-8):
+        before = prob.work["krylov_matvecs"]
+        prob.solve_newton_direction(lin, L, eta)
+        matvecs[eta] = prob.work["krylov_matvecs"] - before
+        A, rhs, x, info = solves[-1]
+        assert info == 0
+        assert np.linalg.norm(A.matvec(x) - rhs) <= eta * np.linalg.norm(rhs)
+    assert matvecs[1e-2] < matvecs[1e-8]
+    assert prob.work["newton_directions"] == 2
+    assert prob.work["lgmres_unconverged"] == 0
+    # one outer lgmres cycle returns info = 1, which is counted
+    monkeypatch.setattr(spla, "lgmres", lambda A, rhs, **kwargs: recording_lgmres(
+        A, rhs, **(kwargs | {"maxiter": 1})))
+    prob.solve_newton_direction(lin, L, 1e-8)
+    assert solves[-1][3] == 1
+    assert prob.work["lgmres_unconverged"] == 1
+
+
+@pytest.mark.parametrize("tol_eff", [1e-300, 1e-14, 1e-8, 1.0, 1e300])
+@pytest.mark.parametrize("res", [1e-300, 1e-14, 1e-8, 1.0, 1e300])
+def test_forcing_term_stays_in_bounds(tol_eff, res):
+    eta = forcing_term(tol_eff, res)
+    assert (ETA_MIN, ETA_MAX) == (1e-8, 0.1)
+    assert ETA_MIN <= eta <= ETA_MAX
+    if ETA_MIN <= 0.5 * tol_eff / res <= ETA_MAX:
+        assert eta == 0.5 * tol_eff / res
 
 
 def test_linearize_richardson_order(t64, gI, rng):
@@ -332,6 +384,23 @@ def test_newton_accepts_stall_within_stall_accept(polystable_t1):
     assert tol_eff < st.residual <= STALL_ACCEPT * tol_eff
 
 
+def test_newton_solve_passes_its_forcing_term(polystable_t1, monkeypatch):
+    # every direction is solved to forcing_term(tol_eff, res) at the residual
+    # it starts from
+    prob, f1 = polystable_t1
+    calls = []
+    solve = ContinuationProblem.solve_newton_direction
+
+    def recording(self, lin, L, eta):
+        calls.append((self.calc0.sup_norm(L), eta))
+        return solve(self, lin, L, eta)
+
+    monkeypatch.setattr(ContinuationProblem, "solve_newton_direction", recording)
+    st = newton_solve(prob, 0.5, f1)
+    assert st.converged and calls
+    assert [eta for _, eta in calls] == [forcing_term(1e-8, res) for res, _ in calls]
+
+
 def test_newton_stall_beyond_stall_accept_diverges(polystable_t1):
     prob, f1 = polystable_t1
     with pytest.raises(Diverged):
@@ -367,7 +436,7 @@ def test_run_polystable_block_diagonal(t64, gI, rng):
     assert max(r[3] for r in res.history) <= 1e-6
 
 
-@pytest.mark.parametrize("seed", [0, 5, 8])
+@pytest.mark.parametrize("seed", range(10))
 def test_polystable_eps_zero_stage_stays_on_path(seed):
     # at eps = 0 the linearization of a polystable bundle is singular along
     # the commutant; the eps = 0 Newton solve must not move the metric along
@@ -385,6 +454,62 @@ def test_polystable_eps_zero_stage_stays_on_path(seed):
     i = next(i for i, row in enumerate(res.history) if row[0] == 0.0)
     assert i > 0
     assert abs(res.history[i][2] - res.history[i - 1][2]) <= 1e-3
+
+
+@pytest.mark.parametrize("lam", [(2.0, 3.0, 4.0), (2.0, 3.0, 4.0, 5.0)])
+def test_polystable_higher_rank_perturbed_converges(lam):
+    # diag(lambda) on T^1 N=32 from a perturbed background, built as the CLI
+    # builds it (amplitude 0.1, modes 1, seed 0)
+    t = AffineTorus(1, 32)
+    g = MetricField(t, np.eye(1))
+    b = build_bundle([np.diag(lam)])
+    h0p = canonical_metric(b, t) @ random_hermitian_metric(
+        b, t, np.random.default_rng(0), amplitude=0.1, modes=1)
+    h0p = 0.5 * (h0p + np.conj(np.swapaxes(h0p, -1, -2)))
+    res = run_continuation(b, t, g, h0p)
+    assert res.status == "converged"
+    assert res.K_defect <= 1e-6
+
+
+def test_run_reports_its_krylov_work(monkeypatch):
+    # the counters in the diagnostics match an independent count of the
+    # directions, the lgmres matvecs and the unconverged lgmres stops of the
+    # Newton solves (the background normalization runs lgmres too)
+    counts = dict(newton_directions=0, krylov_matvecs=0, lgmres_unconverged=0)
+    lgmres = spla.lgmres
+    solve = ContinuationProblem.solve_newton_direction
+    inside = []
+
+    def counting_solve(self, *args):
+        counts["newton_directions"] += 1
+        inside.append(True)
+        try:
+            return solve(self, *args)
+        finally:
+            inside.pop()
+
+    def counting_lgmres(A, rhs, **kwargs):
+        if not inside:
+            return lgmres(A, rhs, **kwargs)
+
+        def matvec(v):
+            counts["krylov_matvecs"] += 1
+            return A.matvec(v)
+        x, info = lgmres(spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype),
+                         rhs, **kwargs)
+        counts["lgmres_unconverged"] += info != 0
+        return x, info
+
+    monkeypatch.setattr(ContinuationProblem, "solve_newton_direction", counting_solve)
+    monkeypatch.setattr(spla, "lgmres", counting_lgmres)
+    t = AffineTorus(1, 32)
+    g = MetricField(t, np.eye(1))
+    b = build_bundle([np.diag([2.0, 3.0])])
+    h0p = random_hermitian_metric(b, t, np.random.default_rng(0), amplitude=0.1, modes=1)
+    res = run_continuation(b, t, g, h0p)
+    assert res.status == "converged"
+    assert counts["krylov_matvecs"] > counts["newton_directions"] > 0
+    assert {k: res.diagnostics[k] for k in counts} == counts
 
 
 def test_run_unipotent_blowup_small():
