@@ -31,13 +31,12 @@ K = g^{ij} Omega_{ij}, and c_1 = -del delbar log det H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NonCommuting, NonHPD, NotAProjection, Singular, ValidationError
+from .errors import NonCommuting, NonHPD, Singular, ValidationError
 from .forms import Form, MetricField, dolbeault_del, dolbeault_delbar, trace_g
 from .torus import AffineTorus
 
@@ -118,17 +117,6 @@ class FlatBundle:
         if key not in self._gauge_cache:
             self._gauge_cache[key] = GaugeData(self, torus)
         return self._gauge_cache[key]
-
-    def is_trivial(self) -> bool:
-        return all(
-            np.abs(m - np.eye(self.rank)).max() < 1e-14 for m in self.monodromy
-        )
-
-    def det_twist_slopes(self) -> np.ndarray:
-        """Linear slopes of log det h per axis: -2 log |det rho_k|."""
-        return np.array(
-            [-2.0 * np.log(abs(np.linalg.det(m))) for m in self.monodromy]
-        )
 
 
 def build_bundle(monodromy, field: str = "complex") -> FlatBundle:
@@ -279,28 +267,6 @@ def random_hermitian_metric(bundle: FlatBundle, torus: AffineTorus, rng,
     return (U * np.exp(w)[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
 
 
-@dataclass
-class LogMetricDecomposition:
-    """log det h split into a monodromy-fixed linear part and a periodic part."""
-
-    linear_part: np.ndarray   # (n,) real; slope per axis
-    periodic_part: np.ndarray  # grid, real
-
-
-def log_metric_decomposition(bundle: FlatBundle, torus: AffineTorus,
-                             H: np.ndarray) -> LogMetricDecomposition:
-    """Decompose log det h for a gauge-stored metric.
-
-    The twist fixes the slope exactly: crossing axis k scales det h by
-    |det rho_k|^{-2}.  The gauge factor carries the whole linear part, so the
-    periodic remainder is just log det of the stored array.
-    """
-    sign, logdet = np.linalg.slogdet(H)
-    if np.any(sign.real <= 0):
-        raise NonHPD("metric determinant is not positive")
-    return LogMetricDecomposition(bundle.det_twist_slopes(), logdet.real)
-
-
 def end_delbar(ef: Form) -> Form:
     """delbar of an End-valued form (the matvec path's entry point)."""
     return dolbeault_delbar(ef)
@@ -338,12 +304,12 @@ def first_chern_form(bundle: FlatBundle, torus: AffineTorus,
                      H: np.ndarray) -> Form:
     """c_1(E,h) = -del delbar log det h as a scalar (1,1)-form.
 
-    The linear part of log det h has vanishing second derivatives and drops
-    out; only the periodic part is differentiated.
+    The twist makes log det h linear across the fundamental domain; the gauge
+    factor carries that part, whose second derivatives vanish, so only log det
+    of the stored, periodic H is differentiated.
     """
     check_hpd(H)
-    dec = log_metric_decomposition(bundle, torus, H)
-    u = Form.from_scalar(torus, dec.periodic_part.astype(complex))
+    u = Form.from_scalar(torus, np.linalg.slogdet(H)[1].real.astype(complex))
     return -dolbeault_del(dolbeault_delbar(u))
 
 
@@ -375,30 +341,6 @@ def covariant_del0(bundle: FlatBundle, torus: AffineTorus, theta0,
     ``theta0`` is the (1,0)-form theta_0, or a ``Del0`` built from it once."""
     op = theta0 if isinstance(theta0, Del0) else Del0(bundle, torus, theta0)
     return op(phi)
-
-
-def second_fundamental_form(bundle: FlatBundle, torus: AffineTorus,
-                            H: np.ndarray, pi: np.ndarray) -> Form:
-    """A = (I - pi) del_0 pi for an h-orthogonal projection field pi.
-
-    Vanishes exactly when the h-orthogonal complement of the image is flat.
-    """
-    r = bundle.rank
-    eye = np.eye(r)
-    tol = 1e-8
-    proj_defect = np.abs(pmul(pi, pi) - pi).max()
-    Hinv = np.linalg.inv(H)
-    adj = pmul(Hinv, np.conj(np.swapaxes(pi, -1, -2)), H)
-    adj_defect = np.abs(adj - pi).max()
-    if proj_defect > tol or adj_defect > tol:
-        raise NotAProjection(
-            f"pi^2-pi defect {proj_defect:.2e}, pi*-pi defect {adj_defect:.2e} "
-            f"exceed tolerance {tol:.1e}"
-        )
-    theta = hermitian_connection(bundle, torus, H)
-    d0pi = covariant_del0(bundle, torus, theta, pi)
-    comp = eye - pi
-    return Form(torus, 1, 0, pmul(comp[..., None, None, :, :], d0pi.coeffs), bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .bundle import canonical_metric, random_hermitian_metric
+from .bundle import canonical_metric, hermitize, random_hermitian_metric
 from .config import RunConfig, load_config
 from .fields_io import dump_field, load_field
 
@@ -113,7 +113,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         h0p = h0p @ random_hermitian_metric(
             bundle, torus, rng, amplitude=cfg.perturb_amplitude,
             modes=cfg.perturb_modes)
-        h0p = 0.5 * (h0p + np.conj(np.swapaxes(h0p, -1, -2)))
+        h0p = hermitize(h0p)
     result = run_continuation(
         bundle, torus, gG, h0p,
         factor=cfg.epsilon_factor, eps_min=cfg.epsilon_min,

@@ -55,6 +55,8 @@ class RunConfig:
             raise ValidationError(f"unknown metric type {self.metric_type!r}")
         if self.metric_type == "file" and not Path(self.metric_path).exists():
             raise ValidationError(f"metric file {self.metric_path!r} does not exist")
+        if self.rank < 1:
+            raise ValidationError(f"[bundle] rank = {self.rank} must be >= 1")
         if len(self.monodromy) != self.dim:
             raise ValidationError(
                 f"need {self.dim} monodromy matrices, got {len(self.monodromy)}"
@@ -64,6 +66,12 @@ class RunConfig:
                 raise ValidationError("monodromy entries must be rank^2 numbers")
         if not 0 < self.epsilon_factor < 1:
             raise ValidationError("epsilon_factor must be in (0,1)")
+        for key in ("epsilon_min", "newton_tol", "m_max"):
+            value = getattr(self, key)
+            if not 0 < value < np.inf:
+                raise ValidationError(f"[solver] {key} = {value} must be finite and > 0")
+        if self.max_steps < 1:
+            raise ValidationError(f"[solver] max_steps = {self.max_steps} must be >= 1")
         if not 1 <= self.metric_axis <= self.dim:
             raise ValidationError("metric axis out of range")
         return self
@@ -87,8 +95,9 @@ class RunConfig:
         if self.metric_type == "conformal_sin":
             x = torus.coordinate(self.metric_axis - 1)
             factor = 1.0 + self.metric_amplitude * np.sin(2 * np.pi * x)
-            if factor.min() <= 0:
-                raise ValidationError("conformal_sin amplitude makes g degenerate")
+            if not factor.min() > 0:  # a nan amplitude fails here too
+                raise ValidationError(f"[metric] amplitude = {self.metric_amplitude} makes "
+                                      "the conformal_sin metric degenerate or non-finite")
             return MetricField(
                 torus, np.eye(n)[(None,) * n] * factor[..., None, None]
             )
@@ -167,6 +176,6 @@ def load_config(path) -> RunConfig:
     except KeyError as exc:
         raise ValidationError(f"monodromy keys must run monodromy1..monodromyK; "
                               f"{exc.args[0]} is missing") from None
-    if not cfg.monodromy:
+    if not cfg.monodromy and cfg.rank >= 1:  # validate() rejects rank < 1
         cfg.monodromy = [list(np.eye(cfg.rank).ravel()) for _ in range(cfg.dim)]
     return cfg

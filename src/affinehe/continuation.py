@@ -34,13 +34,7 @@ from .bundle import (
     mean_curvature,
     pmul,
 )
-from .errors import (
-    Diverged,
-    LinearSolveStagnation,
-    NonHPD,
-    PoissonSolveFailed,
-    ValidationError,
-)
+from .errors import Diverged, LinearSolveStagnation, PoissonSolveFailed, ValidationError
 from .forms import Form, MetricField, laplacian_symbol, laplacian_type, trace_g
 from .gauduchon import pairing
 from .stability import degree
@@ -52,17 +46,14 @@ DEFAULT_FACTOR = 0.5
 
 
 def einstein_constant(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
-                      gG: MetricField, degree_offset: float = 0.0,
-                      snap: bool = True) -> float:
+                      gG: MetricField) -> float:
     """gamma with gamma int omega^n/nu = n mu_g(E), snapped to 0 on tori.
 
     Torus degrees vanish up to quadrature error; values below 10/N^2 are
     replaced by the exact 0 so the path target does not drift.
     """
-    n = torus.dim
-    deg = degree(bundle, torus, H, gG) + degree_offset
-    gamma = n * deg / bundle.rank / gG.total_volume()
-    if snap and abs(gamma) < 10.0 / torus.resolution**2:
+    gamma = torus.dim * degree(bundle, torus, H, gG) / bundle.rank / gG.total_volume()
+    if abs(gamma) < 10.0 / torus.resolution**2:
         gamma = 0.0
     return gamma
 
@@ -99,10 +90,9 @@ def solve_scalar_elliptic(gG: MetricField, rhs: np.ndarray) -> tuple[np.ndarray,
 
 
 def normalize_background(bundle: FlatBundle, torus: AffineTorus,
-                         h0_prime: np.ndarray, gG: MetricField,
-                         gamma: float | None = None):
+                         h0_prime: np.ndarray, gG: MetricField):
     """Produce the normalized background h_0 with tr K_0 = r gamma and the
-    eps = 1 solution f_1.
+    eps = 1 solution f_1; gamma is ``diagnostics["gamma"]``.
 
     Conformally rescales h_0' by exp(rho) so that the trace of the mean
     curvature is the constant r gamma, then sets f_1 = exp(-K_1 + gamma I)
@@ -110,8 +100,7 @@ def normalize_background(bundle: FlatBundle, torus: AffineTorus,
     discretization error.
     """
     r = bundle.rank
-    if gamma is None:
-        gamma = einstein_constant(bundle, torus, h0_prime, gG)
+    gamma = einstein_constant(bundle, torus, h0_prime, gG)
     K0p = mean_curvature(gG, bundle, torus, h0_prime)
     tr0 = np.einsum("...aa->...", K0p)
     # tr K is real in exact arithmetic; residual imaginary content is
@@ -200,10 +189,6 @@ class ContinuationProblem:
         logf = self.calc0.log(f)
         return self.K0_shift + self.curvature_change(f) + eps * logf
 
-    def residual_hat(self, f: np.ndarray, eps: float) -> np.ndarray:
-        """f L_eps(f), Hermitian with respect to h_0 up to discretization."""
-        return pmul(f, self.residual(f, eps))
-
     def res_norm(self, f: np.ndarray, eps: float) -> float:
         """sup_x |L_eps(f)|_{h_0}; the field L_eps(f) is kept in
         ``last_residual`` for a caller that accepts f."""
@@ -238,30 +223,6 @@ class ContinuationProblem:
         if lin.dlog is not None:
             out = out + lin.eps * lin.dlog(phi)
         return out
-
-    def linearize_apply(self, f: np.ndarray, phi: np.ndarray, eps: float,
-                        mode: str = "analytic", t_rel: float = 1e-6) -> np.ndarray:
-        """Directional derivative of f L_eps(f) at f in direction phi.
-
-        ``analytic`` assembles the exact derivative (complex-linear in phi);
-        ``fd`` is the matrix-free central difference with step
-        t = t_rel |f| / |phi|.
-        """
-        if not np.any(phi):
-            return np.zeros_like(f)
-        if mode == "fd":
-            t = t_rel * max(np.abs(f).max(), 1e-30) / max(np.abs(phi).max(), 1e-30)
-            plus = self.residual_hat(f + t * phi, eps)
-            minus = self.residual_hat(f - t * phi, eps)
-            return (plus - minus) / (2.0 * t)
-        if mode != "analytic":
-            raise ValidationError(f"unknown linearization mode {mode!r}")
-        L = self.residual(f, eps)
-        return pmul(phi, L) + pmul(f, self.linearize_residual(self.linearization(f, eps), phi))
-
-    def principal_term(self, phi: np.ndarray) -> np.ndarray:
-        """tr_g delbar del_0 phi, the second-order part of the linearization."""
-        return self._trace_delbar(covariant_del0(self.bundle, self.torus, self.del0, phi).coeffs)
 
     # -- inner linear solves -------------------------------------------------
     def _traceless(self, s: np.ndarray) -> np.ndarray:
@@ -470,8 +431,8 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     """
     if h0_prime is None:
         h0_prime = canonical_metric(bundle, torus)
-    gamma = einstein_constant(bundle, torus, h0_prime, gG)
-    H0, f1, norm_diag = normalize_background(bundle, torus, h0_prime, gG, gamma)
+    H0, f1, norm_diag = normalize_background(bundle, torus, h0_prime, gG)
+    gamma = norm_diag["gamma"]
     problem = ContinuationProblem(bundle, torus, H0, gG, gamma)
 
     history: list[tuple[float, float, float, float]] = []
@@ -573,32 +534,6 @@ def real_he_metric(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     Hreal = np.conj(Tinv.T) @ HC @ Tinv
     reality = float(np.abs(Hreal.imag).max() / max(1.0, np.abs(Hreal).max()))
     return Hreal, result, reality
-
-
-def residual_L_eps(bundle: FlatBundle, torus: AffineTorus, f: np.ndarray,
-                   eps: float, H0: np.ndarray, gG: MetricField,
-                   gamma: float = 0.0) -> np.ndarray:
-    """L_eps(f) = K_0 - gamma I + tr_g delbar(f^{-1} del_0 f) + eps log f.
-
-    Convenience wrapper around :class:`ContinuationProblem` for one-off
-    evaluations; f must be Hermitian positive with respect to h_0.
-    """
-    problem = ContinuationProblem(bundle, torus, H0, gG, gamma)
-    calc = problem.calc0
-    if calc.herm_defect(f) > 1e-6 * max(1.0, float(np.abs(f).max())):
-        raise NonHPD("f is not Hermitian with respect to h_0")
-    if calc.eigvals(f).min() <= 0:
-        raise NonHPD("f is not positive")
-    return problem.residual(f, eps)
-
-
-def linearize_apply(bundle: FlatBundle, torus: AffineTorus, f: np.ndarray,
-                    phi: np.ndarray, eps: float, H0: np.ndarray,
-                    gG: MetricField, gamma: float = 0.0,
-                    mode: str = "fd") -> np.ndarray:
-    """Directional derivative of f L_eps(f) in direction phi (fd default)."""
-    problem = ContinuationProblem(bundle, torus, H0, gG, gamma)
-    return problem.linearize_apply(f, phi, eps, mode=mode)
 
 
 def he_K_defect(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,

@@ -45,23 +45,6 @@ SNAP_TOL = 0.2
 SIGMA_SCHEDULE = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
-def rescaled_power(calc: HermCalculus, f: np.ndarray, sigma: float):
-    """(rho, (rho f)^sigma) with rho = exp(-max_x largest eigenvalue of log f).
-
-    All eigenvalues of rho f lie in (0, 1] with the maximum attained
-    somewhere on the grid.
-    """
-    if not 0.0 < sigma <= 1.0:
-        raise ValidationError(f"sigma must be in (0,1], got {sigma}")
-    w = calc.eigvals(f)
-    if w.min() <= 0:
-        raise NonHPD("endomorphism is not positive for the rescaling")
-    M = float(np.log(w.max()))
-    rho = np.exp(-M)
-    fs = calc.apply(f, lambda lam: (rho * np.maximum(lam, 1e-300)) ** sigma)
-    return rho, fs
-
-
 def _split_counts(lam: np.ndarray) -> list[int]:
     """Counts of eigenvalues of rho f with lam^sigma >= THETA_KEEP along
     SIGMA_SCHEDULE."""

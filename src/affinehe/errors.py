@@ -33,10 +33,6 @@ class NonHPD(ValidationError):
     """A metric or endomorphism field is not Hermitian positive definite."""
 
 
-class NotAProjection(ValidationError):
-    """Claimed projection fails pi^2 = pi or pi* = pi beyond tolerance."""
-
-
 class RankTooLarge(ValidationError):
     """Bundle rank exceeds the supported enumeration range."""
 

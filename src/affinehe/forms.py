@@ -264,6 +264,8 @@ class MetricField:
             g = np.broadcast_to(g, torus.grid_shape + (n, n)).copy()
         if g.shape != torus.grid_shape + (n, n):
             raise ValidationError(f"metric shape {g.shape} invalid for {torus}")
+        if not np.isfinite(g).all():
+            raise ValidationError("metric g has non-finite entries")
         sym_defect = np.abs(g - np.swapaxes(g, -1, -2)).max()
         if sym_defect > 1e-12 * max(1.0, np.abs(g).max()):
             raise ValidationError(f"metric not symmetric (defect {sym_defect:.2e})")

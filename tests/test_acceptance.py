@@ -8,6 +8,7 @@ projection defects, 1e-10 for reality and invariance residuals.
 """
 
 import numpy as np
+from derivatives import d_fL, d_fL_fd
 
 from affinehe.bundle import (
     build_bundle,
@@ -139,16 +140,15 @@ def test_criterion_4_linearization():
         f = calc.from_hermitian(random_hermitian_metric(b, t, rng, amplitude=0.3))
         phi = calc.hermitize(random_hermitian_metric(b, t, rng) - np.eye(2))
         eps = float(rng.uniform(0.05, 1.0))
-        an = prob.linearize_apply(f, phi, eps)
-        fd = prob.linearize_apply(f, phi, eps, mode="fd")
+        an = d_fL(prob, f, phi, eps)
+        fd = d_fL_fd(prob, f, phi, eps)
         worst = max(worst, float(np.abs(an - fd).max() / np.abs(fd).max()))
     report("linearization fd vs analytic (relative)", worst, 1e-5)
 
     f = calc.from_hermitian(random_hermitian_metric(b, t, rng, amplitude=0.4))
     phi = calc.hermitize(random_hermitian_metric(b, t, rng) - np.eye(2))
-    an = prob.linearize_apply(f, phi, 0.4)
-    errs = [float(np.abs(prob.linearize_apply(f, phi, 0.4, mode="fd",
-                                              t_rel=tr) - an).max())
+    an = d_fL(prob, f, phi, 0.4)
+    errs = [float(np.abs(d_fL_fd(prob, f, phi, 0.4, t_rel=tr) - an).max())
             for tr in (4e-2, 2e-2, 1e-2)]
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     # second-order central differences: halving t quarters the error

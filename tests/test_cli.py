@@ -103,6 +103,25 @@ def test_config_rejects_unknown_and_unparsable_input(tmp_path, capsys, text, nam
     assert err.startswith("validation error:") and named in err
 
 
+@pytest.mark.parametrize("text, named", [
+    ("[solver]\nm_max = 0\n", "[solver] m_max = 0.0"),
+    ("[solver]\nm_max = -1\n", "[solver] m_max = -1.0"),
+    ("[solver]\nnewton_tol = nan\n", "[solver] newton_tol = nan"),
+    ("[solver]\nepsilon_min = 0\n", "[solver] epsilon_min = 0.0"),
+    ("[solver]\nmax_steps = 0\n", "[solver] max_steps = 0"),
+    ("[bundle]\nrank = 0\n", "[bundle] rank = 0"),
+    ("[bundle]\nrank = -1\n", "[bundle] rank = -1"),
+    ("[metric]\ntype = conformal_sin\namplitude = nan\n", "[metric] amplitude = nan"),
+    ("[metric]\nmatrix = nan\n", "metric g has non-finite entries"),
+], ids=["m_max-zero", "m_max-negative", "newton_tol-nan", "epsilon_min-zero",
+        "max_steps-zero", "rank-zero", "rank-negative", "amplitude-nan", "matrix-nan"])
+def test_cli_solve_rejects_out_of_range_values(tmp_path, capsys, text, named):
+    p = write(tmp_path / "c.ini", "[torus]\ndim = 1\nresolution = 16\n" + text)
+    assert main(["solve", "--config", p, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err
+
+
 def test_missing_config_is_validation_error():
     assert main(["solve", "--config", "/nonexistent/x.ini"]) == 1
 

@@ -2,17 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from affinehe.bundle import HermCalculus, build_bundle, canonical_metric
+from affinehe.bundle import build_bundle, canonical_metric
 from affinehe.destabilizer import (
     DEFECT_TOL,
     destabilize,
     destabilizing_report,
     extract_projection,
     flatten_projection,
-    rescaled_power,
     validate_projection,
 )
 from affinehe.errors import NoNearbyFlatSubbundle, NoSpectralGap
@@ -38,42 +35,6 @@ def synthetic_blowup(t, lam):
     b = build_bundle([UNIPOTENT])
     f = const_field(t, np.diag([np.exp(-lam), np.exp(lam)]))
     return b, canonical_metric(b, t), f
-
-
-# ---------------------------------------------------------------------------
-# rescaled powers
-# ---------------------------------------------------------------------------
-
-def test_rescaled_power_scalar_oracle(t32):
-    calc = HermCalculus(const_field(t32, np.eye(2)))
-    f = const_field(t32, np.diag([np.exp(2.0), np.exp(-2.0)]))
-    rho, fs = rescaled_power(calc, f, 1.0)
-    assert abs(rho - np.exp(-2.0)) < 1e-14
-    w = np.sort(calc.eigvals(fs), axis=-1)
-    assert np.abs(w[..., 1] - 1.0).max() < 1e-12
-    assert np.abs(w[..., 0] - np.exp(-4.0)).max() < 1e-12
-    _, fhalf = rescaled_power(calc, f, 0.5)
-    wh = np.sort(calc.eigvals(fhalf), axis=-1)
-    assert np.abs(wh[..., 0] - np.exp(-2.0)).max() < 1e-12
-
-
-def test_rescaled_power_identity(t32):
-    calc = HermCalculus(const_field(t32, np.eye(2)))
-    f = const_field(t32, np.eye(2))
-    rho, fs = rescaled_power(calc, f, 0.7)
-    assert abs(rho - 1.0) < 1e-14
-    assert np.abs(fs - np.eye(2)).max() < 1e-12
-
-
-@given(st.floats(0.05, 1.0))
-def test_rescaled_power_max_eigenvalue_one(sigma):
-    t = AffineTorus(1, 8)
-    calc = HermCalculus(const_field(t, np.eye(2)))
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((2, 2))
-    f = const_field(t, np.eye(2) * 0.0 + (X @ X.T + np.eye(2)))
-    rho, fs = rescaled_power(calc, f, sigma)
-    assert abs(calc.eigvals(fs).max() - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
