@@ -72,6 +72,11 @@ class RunConfig:
                 raise ValidationError(f"[solver] {key} = {value} must be finite and > 0")
         if self.max_steps < 1:
             raise ValidationError(f"[solver] max_steps = {self.max_steps} must be >= 1")
+        if not 0 <= self.perturb_amplitude < np.inf:  # also rejects nan
+            raise ValidationError(f"[perturbation] amplitude = {self.perturb_amplitude} "
+                                  "must be finite and >= 0")
+        if self.perturb_modes < 1:
+            raise ValidationError(f"[perturbation] modes = {self.perturb_modes} must be >= 1")
         if not 1 <= self.metric_axis <= self.dim:
             raise ValidationError("metric axis out of range")
         return self

@@ -3,9 +3,10 @@
 Solves L_eps(f) = K_0 - gamma I + tr_g delbar(f^{-1} del_0 f) + eps log f = 0
 along a decreasing eps-path from 1, where f is Hermitian positive with
 respect to a normalized background metric h_0 with tr K_0 = r gamma.  Each
-eps-step runs a damped Newton iteration on L_eps: each step solves
+eps-stage runs a damped Newton iteration on L_eps: each step solves
 DL_eps(f)[f^{1/2} s f^{1/2}] = -L_eps(f) for traceless h_0-Hermitian s and
 moves f -> f^{1/2} exp(t s) f^{1/2}, which keeps f positive and det f = 1.
+Stages start on the path's tangent; eps cuts follow the Newton contraction.
 
 On convergence (eps below eps_min and the eps = 0 equation solvable) the
 final metric h = h_0 f satisfies K = gamma I to solver accuracy.  When the
@@ -43,6 +44,8 @@ from .torus import AffineTorus
 DEFAULT_M_MAX = 25.0
 DEFAULT_EPS_MIN = 1e-4
 DEFAULT_FACTOR = 0.5
+CUT_MIN = 0.01  # the most aggressive eps cut eps_next / eps
+THETA_TARGET = 0.1  # first Newton contraction the cut aims at (Deuflhard 2004, ch. 5)
 
 
 def einstein_constant(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
@@ -161,8 +164,9 @@ class ContinuationProblem:
         # symbol of -tr_g delbar del_0 at f = I
         self._symbol = laplacian_symbol(gG)
         self.last_residual: np.ndarray | None = None
-        # Krylov work of the run; lgmres_unconverged counts stops with info != 0
-        self.work = dict(newton_directions=0, krylov_matvecs=0, lgmres_unconverged=0)
+        # work of the run; lgmres_unconverged counts stops with info != 0
+        self.work = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
+                         lgmres_unconverged=0, eps_backtracks=0)
 
     # -- residual ----------------------------------------------------------
     def _trace_delbar(self, coeffs: np.ndarray) -> np.ndarray:
@@ -236,10 +240,12 @@ class ContinuationProblem:
         tr = np.einsum("...aa->...", s) / self.rank
         return s - tr[..., None, None] * self.eye
 
-    def solve_newton_direction(self, lin: Linearization, L: np.ndarray, eta: float):
+    def solve_newton_direction(self, lin: Linearization, L: np.ndarray, eta: float,
+                               counter: str = "newton_directions"):
         """Solve DL(f)[f^{1/2} s f^{1/2}] = -L over traceless Hermitian s,
         with DL frozen at f in ``lin``, to the relative linear residual
-        ``eta`` that ``newton_solve`` takes from ``forcing_term``.
+        ``eta`` that ``newton_solve`` takes from ``forcing_term``; counted in
+        ``work[counter]``.
 
         The traceless constraint restricts the step to determinant-preserving
         moves, where every solution lives (det f = 1); the pointwise-trace
@@ -258,7 +264,7 @@ class ContinuationProblem:
         residual stays above 0.9.
         """
         r, sqf, eps, work = self.rank, lin.sqrt_f, lin.eps, self.work
-        work["newton_directions"] += 1
+        work[counter] += 1
         b = self._traceless(-L).ravel()
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
@@ -276,10 +282,10 @@ class ContinuationProblem:
             x, info = spla.lgmres(
                 spla.LinearOperator(A.shape, matvec=counted, dtype=complex), b,
                 M=M, rtol=eta, atol=eta * bnorm, maxiter=60, inner_m=30)
+            res = np.inf
+            if np.isfinite(x).all():
+                res = np.linalg.norm(A.matvec(x) - b) / bnorm
         work["lgmres_unconverged"] += info != 0
-        res = np.inf
-        if np.isfinite(x).all():
-            res = np.linalg.norm(A.matvec(x) - b) / bnorm
         if not res <= 0.9:
             raise LinearSolveStagnation(
                 f"Newton linear solve stagnated (relative residual {res:.2e})"
@@ -304,6 +310,17 @@ class ContinuationProblem:
         Hermitian positive."""
         return self.calc0.hermitize(pmul(lin.sqrt_f, self.calc0.exp(step * s), lin.sqrt_f))
 
+    def tangent(self, f: np.ndarray, eps: float) -> tuple[Linearization, np.ndarray]:
+        """DL_eps frozen at a solution f of L_eps = 0, and the path's tangent
+        sdot in t = log eps: DL_eps(f)[f^{1/2} sdot f^{1/2}] = -eps log f,
+        solved to ETA_MAX (zero if that stagnates; Allgower & Georg, ch. 2)."""
+        lin = self.linearization(f, eps)
+        try:
+            return lin, self.solve_newton_direction(
+                lin, eps * self.calc0.log(f), ETA_MAX, "tangent_solves")
+        except LinearSolveStagnation:
+            return lin, np.zeros_like(lin.finv)
+
 
 @dataclass
 class ContinuationState:
@@ -314,6 +331,7 @@ class ContinuationState:
     det_defect: float
     history: list = field(default_factory=list)
     converged: bool = False
+    entry_residual: float = 0.0
 
 
 @dataclass
@@ -360,7 +378,7 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
     f = problem.calc0.hermitize(np.asarray(f_init, dtype=complex))
     res = problem.res_norm(f, eps)
     L = problem.last_residual
-    state = ContinuationState(eps, f, res, *problem.m_and_det_defect(f))
+    state = ContinuationState(eps, f, res, *problem.m_and_det_defect(f), entry_residual=res)
     hard_floor = 1e-14 * max(1.0, float(np.abs(problem.K0).max()))
     tol_eff = max(tol, hard_floor)
     if rel_target is not None:
@@ -418,16 +436,19 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
                      m_max: float = DEFAULT_M_MAX) -> HEResult:
     """Full continuity-method run: normalization, eps-path, blow-up watch.
 
-    eps decreases geometrically (adaptive backtracking on Newton failure),
-    with a relative per-step target so the iterate genuinely tracks the
-    solution family.  Once eps falls below eps_min the eps = 0 equation is
-    attempted directly.  A converged eps = 0 attempt only counts if the
-    iterate barely moved: for strictly semistable bundles the eps = 0
-    residual decays along the degenerating family without a solution
-    existing, and the m-drift of the attempt exposes that.  Failing the
-    attempt the path keeps descending (m grows roughly like log(1/eps))
-    until m_max or the step budget is hit.  Never silently returns a
-    non-converged metric.
+    Each stage solves L_eps = 0 by Newton to a relative target, then moves
+    to eps * cut from the tangent predictor (``tangent``) unless its m
+    reaches m_max.  The cut starts at ``factor``, its largest value; dt =
+    log cut scales by sqrt(THETA_TARGET / theta) within [1/2, 2], theta the
+    first Newton contraction, and the cut stays >= CUT_MIN.  A diverged
+    stage is retried from the last accepted state with the square root of
+    the failed cut, and its retry does not grow the cut.  Below eps_min the
+    eps = 0 equation is attempted directly; a converged attempt only counts
+    if m barely moved, since for strictly semistable bundles the eps = 0
+    residual decays along the degenerating family without a solution.
+    Otherwise the path descends from the attempt's state until m_max, the
+    step budget, or a retry cut above 0.97 ("stuck below").  Never silently
+    returns a non-converged metric.
     """
     if h0_prime is None:
         h0_prime = canonical_metric(bundle, torus)
@@ -436,42 +457,52 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     problem = ContinuationProblem(bundle, torus, H0, gG, gamma)
 
     history: list[tuple[float, float, float, float]] = []
-    eps = 1.0
-    f = f1
-    last_good: tuple[float, np.ndarray] | None = None
+    eps, f, cut = 1.0, f1, factor
+    good = None  # (eps, f, DL frozen at f, tangent) of the last accepted stage
+    retried = False
     tried_zero_at = -10
 
     def stop(status: str, blowup_data: np.ndarray | None = None, **diag) -> HEResult:
         return HEResult(status, None, gamma, np.inf, blowup_data, history, H0,
                         norm_diag | problem.work | diag)
 
+    def predict() -> np.ndarray:
+        _, f0, lin, sdot = good
+        f_pred = problem.renormalize_det(problem.update(lin, sdot, np.log(cut)))
+        return f_pred if problem.m_and_det_defect(f_pred)[0] < m_max else f0
+
     for steps in range(1, max_steps + 1):
         try:
             st = newton_solve(problem, eps, f, tol=newton_tol, m_max=m_max,
                               rel_target=0.03)
         except Diverged:
-            if last_good is None:
+            if good is None:
                 return stop("max-iters", message="diverged at eps=1")
-            new_eps = float(np.sqrt(eps * last_good[0]))
-            if new_eps / last_good[0] > 0.97:
-                return stop("max-iters", message=f"stuck below eps={last_good[0]:.3e}")
-            f = last_good[1]
-            eps = new_eps
+            cut = float(np.sqrt(eps / good[0]))
+            if cut > 0.97:
+                return stop("max-iters", message=f"stuck below eps={good[0]:.3e}")
+            problem.work["eps_backtracks"] += 1
+            retried = True
+            eps, f = good[0] * cut, predict()
             continue
         history.append((st.epsilon, st.residual, st.m, st.det_defect))
-        f = st.f
         if st.m >= m_max:
             return stop("blowup", st.f, eps_at_blowup=st.epsilon, m_at_blowup=st.m)
-        last_good = (eps, f)
+        theta = st.history[0][1] / st.entry_residual if st.history else 0.0
+        grow = 1.0 if retried else 2.0  # a retry does not grow the cut
+        ratio = float(np.clip(np.sqrt(THETA_TARGET / max(theta, 1e-12)), 0.5, grow))
+        cut = min(max(cut ** ratio, CUT_MIN), max(cut, factor))
+        retried = False
+        f_next = None
         if eps <= eps_min and steps - tried_zero_at >= 8:
             tried_zero_at = steps
             try:
-                st0 = newton_solve(problem, 0.0, f, tol=newton_tol, m_max=m_max)
+                st0 = newton_solve(problem, 0.0, st.f, tol=newton_tol, m_max=m_max)
             except Diverged:
-                f = last_good[1]
+                pass
             else:
                 history.append((st0.epsilon, st0.residual, st0.m, st0.det_defect))
-                f = st0.f  # keep: for semistable bundles this pushes m up
+                f_next = st0.f  # keep: for semistable bundles this pushes m up
                 if st0.m >= m_max:
                     return stop("blowup", st0.f, eps_at_blowup=st0.epsilon,
                                 m_at_blowup=st0.m)
@@ -481,7 +512,9 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
                     Kdef = _K_defect(gG, bundle, torus, Hfin, gamma)
                     return HEResult("converged", Hfin, gamma, Kdef, None, history,
                                     H0, norm_diag | problem.work)
-        eps *= factor
+        good = (eps, st.f, *problem.tangent(st.f, eps))
+        eps *= cut
+        f = predict() if f_next is None else f_next
     return stop("max-iters", message="step budget exhausted")
 
 

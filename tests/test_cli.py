@@ -113,8 +113,14 @@ def test_config_rejects_unknown_and_unparsable_input(tmp_path, capsys, text, nam
     ("[bundle]\nrank = -1\n", "[bundle] rank = -1"),
     ("[metric]\ntype = conformal_sin\namplitude = nan\n", "[metric] amplitude = nan"),
     ("[metric]\nmatrix = nan\n", "metric g has non-finite entries"),
+    ("[perturbation]\namplitude = nan\n", "[perturbation] amplitude = nan"),
+    ("[perturbation]\namplitude = -0.1\n", "[perturbation] amplitude = -0.1"),
+    ("[perturbation]\namplitude = inf\n", "[perturbation] amplitude = inf"),
+    ("[perturbation]\nmodes = 0\n", "[perturbation] modes = 0"),
 ], ids=["m_max-zero", "m_max-negative", "newton_tol-nan", "epsilon_min-zero",
-        "max_steps-zero", "rank-zero", "rank-negative", "amplitude-nan", "matrix-nan"])
+        "max_steps-zero", "rank-zero", "rank-negative", "amplitude-nan", "matrix-nan",
+        "perturbation-amplitude-nan", "perturbation-amplitude-negative",
+        "perturbation-amplitude-inf", "perturbation-modes-zero"])
 def test_cli_solve_rejects_out_of_range_values(tmp_path, capsys, text, named):
     p = write(tmp_path / "c.ini", "[torus]\ndim = 1\nresolution = 16\n" + text)
     assert main(["solve", "--config", p, "--out", str(tmp_path / "o"), "--quiet"]) == 1
@@ -134,6 +140,10 @@ def test_cli_solve_converged(tmp_path):
     rep = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert rep["status"] == "converged"
     assert rep["K_defect"]["value"] <= rep["K_defect"]["tolerance"]
+    # the path predictor's tangent solves are counted apart from the
+    # Newton directions
+    assert rep["tangent_solves"] > 0 and rep["newton_directions"] > 0
+    assert rep["eps_backtracks"] == 0
     log = (tmp_path / "out" / "convergence_log.csv").read_text().splitlines()
     assert log[0] == "step,epsilon,residual,m,det_defect"
     assert (tmp_path / "out" / "final_metric.txt").exists()

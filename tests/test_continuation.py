@@ -11,7 +11,10 @@ from affinehe.bundle import (
     canonical_metric,
     random_hermitian_metric,
 )
+import affinehe.continuation as continuation
 from affinehe.continuation import (
+    CUT_MIN,
+    DEFAULT_FACTOR,
     ETA_MAX,
     ETA_MIN,
     STALL_ACCEPT,
@@ -465,25 +468,67 @@ def test_polystable_higher_rank_perturbed_converges(lam):
     assert res.K_defect <= 1e-6
 
 
+def polystable_t1_background():
+    """T^1 N=32 diag(2,3) with the background perturbed as the CLI perturbs
+    it (amplitude 0.1, modes 1, seed 0): the he_polystable_t1 input."""
+    t = AffineTorus(1, 32)
+    g = MetricField(t, np.eye(1))
+    b = build_bundle([np.diag([2.0, 3.0])])
+    h0p = canonical_metric(b, t) @ random_hermitian_metric(
+        b, t, np.random.default_rng(0), amplitude=0.1, modes=1)
+    return b, t, g, 0.5 * (h0p + np.conj(np.swapaxes(h0p, -1, -2)))
+
+
+def failing_stage(monkeypatch, stage, attempts):
+    """Make the run's newton_solve raise Diverged at its ``stage``-th call
+    (counting from 1), and record every call as (eps, raised)."""
+    newton = continuation.newton_solve
+
+    def solve(problem, eps, *args, **kwargs):
+        try:
+            if len(attempts) + 1 == stage:
+                raise Diverged("injected")
+            st = newton(problem, eps, *args, **kwargs)
+        except Diverged:
+            attempts.append((eps, True))
+            raise
+        attempts.append((eps, False))
+        return st
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+
+
 def test_run_reports_its_krylov_work(monkeypatch):
     # the counters in the diagnostics match an independent count of the
-    # directions, the lgmres matvecs and the unconverged lgmres stops of the
-    # Newton solves (the background normalization runs lgmres too)
-    counts = dict(newton_directions=0, krylov_matvecs=0, lgmres_unconverged=0)
+    # Krylov solves made inside newton_solve (directions) and outside it
+    # (tangents), the lgmres matvecs and unconverged lgmres stops of both
+    # (the background normalization runs lgmres too), and the diverged
+    # eps > 0 stages (one is injected)
+    counts = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
+                  lgmres_unconverged=0, eps_backtracks=0)
     lgmres = spla.lgmres
     solve = ContinuationProblem.solve_newton_direction
     inside = []
+    attempts = []
+    failing_stage(monkeypatch, 3, attempts)
+    newton = continuation.newton_solve
+
+    def counting_newton(*args, **kwargs):
+        inside.append("newton")
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            inside.pop()
 
     def counting_solve(self, *args):
-        counts["newton_directions"] += 1
-        inside.append(True)
+        counts["newton_directions" if inside else "tangent_solves"] += 1
+        inside.append("krylov")
         try:
             return solve(self, *args)
         finally:
             inside.pop()
 
     def counting_lgmres(A, rhs, **kwargs):
-        if not inside:
+        if "krylov" not in inside:
             return lgmres(A, rhs, **kwargs)
 
         def matvec(v):
@@ -494,6 +539,7 @@ def test_run_reports_its_krylov_work(monkeypatch):
         counts["lgmres_unconverged"] += info != 0
         return x, info
 
+    monkeypatch.setattr(continuation, "newton_solve", counting_newton)
     monkeypatch.setattr(ContinuationProblem, "solve_newton_direction", counting_solve)
     monkeypatch.setattr(spla, "lgmres", counting_lgmres)
     t = AffineTorus(1, 32)
@@ -502,8 +548,74 @@ def test_run_reports_its_krylov_work(monkeypatch):
     h0p = random_hermitian_metric(b, t, np.random.default_rng(0), amplitude=0.1, modes=1)
     res = run_continuation(b, t, g, h0p)
     assert res.status == "converged"
+    counts["eps_backtracks"] = sum(raised for eps, raised in attempts if eps > 0)
     assert counts["krylov_matvecs"] > counts["newton_directions"] > 0
+    assert counts["tangent_solves"] > 0 and counts["eps_backtracks"] == 1
     assert {k: res.diagnostics[k] for k in counts} == counts
+
+
+def test_tangent_predictor_is_second_order():
+    # the blowup_t2 input at its eps = 1 solution f1: the tangent step to
+    # eps e^dt leaves a residual far below that of f1 itself, falling like
+    # dt^2 (the step error of a first-order predictor)
+    t = AffineTorus(2, 16)
+    g = MetricField(t, np.eye(2))
+    b = build_bundle([UNIPOTENT, np.eye(2)])
+    H0, f1, diag = normalize_background(b, t, canonical_metric(b, t), g)
+    prob = ContinuationProblem(b, t, H0, g, diag["gamma"])
+    lin, sdot = prob.tangent(f1, 1.0)
+    assert prob.work["tangent_solves"] == 1 and prob.work["newton_directions"] == 0
+    predicted = {}
+    for dt in (-0.2, -0.1):
+        f_pred = prob.renormalize_det(prob.update(lin, sdot, dt))
+        predicted[dt] = prob.res_norm(f_pred, np.exp(dt))
+        assert predicted[dt] < 0.1 * prob.res_norm(f1, np.exp(dt))
+    assert 3.0 < predicted[-0.2] / predicted[-0.1] < 5.0
+
+
+@pytest.mark.parametrize("dim, N, mono", [
+    (2, 16, [UNIPOTENT, np.eye(2)]),
+    (1, 32, [UNIPOTENT]),
+], ids=["blowup_t2", "t1-unipotent"])
+def test_blowup_hands_off_near_m_max(dim, N, mono):
+    # a predicted state at m >= m_max is discarded, so the hot state handed
+    # to the destabilizer comes from a Newton step, not from a long tangent
+    # step past m_max
+    t = AffineTorus(dim, N)
+    g = MetricField(t, np.eye(dim))
+    res = run_continuation(build_bundle(mono), t, g, m_max=25.0)
+    assert res.status == "blowup"
+    assert 25.0 <= res.diagnostics["m_at_blowup"] < 26.0
+
+
+@pytest.mark.parametrize("stage", [None, 3])
+def test_eps_cut_stays_in_bounds_and_backs_off(monkeypatch, stage):
+    # along the he_polystable_t1 run every eps > 0 stage is at a cut of the
+    # last accepted eps in [CUT_MIN, epsilon_factor]; a diverged stage (one
+    # is injected) is retried at a milder cut, and the stage after the
+    # retry is no more aggressive than the retry
+    attempts = []
+    failing_stage(monkeypatch, stage, attempts)
+    res = run_continuation(*polystable_t1_background())
+    assert res.status == "converged"
+    assert res.diagnostics["eps_backtracks"] == (stage is not None)
+    good, cuts = None, []
+    for eps, raised in attempts:
+        if eps == 0.0:
+            continue
+        if good is not None:
+            cuts.append((eps / good, raised))
+        if not raised:
+            good = eps
+    assert len(cuts) >= 3
+    for i, (cut, raised) in enumerate(cuts):
+        after_backtrack = i > 0 and cuts[i - 1][1]
+        if after_backtrack:
+            assert cuts[i - 1][0] < cut <= 0.97
+        elif i > 1 and cuts[i - 2][1]:
+            assert cut >= cuts[i - 1][0]
+        else:
+            assert CUT_MIN * (1 - 1e-12) <= cut <= DEFAULT_FACTOR * (1 + 1e-12)
 
 
 def test_run_unipotent_blowup_small():
