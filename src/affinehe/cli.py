@@ -131,8 +131,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         },
         "steps": len(result.history),
     }
-    for key in ("newton_directions", "tangent_solves", "krylov_matvecs",
-                "lgmres_unconverged", "eps_backtracks"):
+    for key in ("newton_directions", "line_search_trials", "tangent_solves",
+                "krylov_matvecs", "lgmres_unconverged", "eps_backtracks"):
         payload[key] = result.diagnostics[key]
     if result.status == "converged":
         payload["K_defect"] = {"value": result.K_defect, "tolerance": 1e-6}

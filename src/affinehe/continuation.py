@@ -166,7 +166,7 @@ class ContinuationProblem:
         self.last_residual: np.ndarray | None = None
         # work of the run; lgmres_unconverged counts stops with info != 0
         self.work = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
-                         lgmres_unconverged=0, eps_backtracks=0)
+                         lgmres_unconverged=0, eps_backtracks=0, line_search_trials=0)
 
     # -- residual ----------------------------------------------------------
     def _trace_delbar(self, coeffs: np.ndarray) -> np.ndarray:
@@ -374,6 +374,13 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
     does a stagnating linear solve.  Returns early, unconverged, with the
     hot state when m crosses m_max (blow-up hand-off).  Newton is inexact:
     each direction is solved only to ``forcing_term(tol_eff, res)``.
+
+    The line search tries the step lengths 1, 1/2, ..., 1/256 in turn and
+    keeps the best trial examined.  It stops at the first trial below 0.3 res
+    or, once some trial has beaten res, at the first trial that is not below
+    the best so far: shortening the step has stopped helping (Nocedal &
+    Wright 2006, ch. 3).  A trial that is not finite, or numerically singular,
+    is rejected.  Trials are counted in ``work["line_search_trials"]``.
     """
     f = problem.calc0.hermitize(np.asarray(f_init, dtype=complex))
     res = problem.res_norm(f, eps)
@@ -395,10 +402,16 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
             raise Diverged(f"Newton at eps={eps:.3e}: {exc}") from exc
         best = None
         for k in range(9):
+            problem.work["line_search_trials"] += 1
             f_try = problem.renormalize_det(problem.update(lin, s, 0.5**k))
-            res_try = problem.res_norm(f_try, eps)
+            try:
+                res_try = problem.res_norm(f_try, eps)
+            except np.linalg.LinAlgError:  # a numerically singular trial
+                continue
             if not np.isfinite(res_try):
                 continue
+            if best is not None and best[1] < res and res_try >= best[1]:
+                break  # shortening the step has stopped helping
             if best is None or res_try < best[1]:
                 best = (f_try, res_try, problem.last_residual)
             if res_try < 0.3 * res:

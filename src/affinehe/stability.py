@@ -107,26 +107,42 @@ def quotient_monodromy(bundle: FlatBundle, F: FlatSubbundle):
 # invariant subspace enumeration
 # ---------------------------------------------------------------------------
 
-def _cluster_eigenvalues(ev: np.ndarray):
-    """Group eigenvalues by relative gap; list of index arrays."""
+def _cluster_eigenvalues(mat: np.ndarray):
+    """The eigenvalues ev of mat and their groups, a list of index arrays.
+
+    A run of neighbours groups together when each is within the relative gap
+    EIG_CLUSTER_GAP of the next, or when it is a defective block that
+    roundoff split apart: u moves the k eigenvalues of a k x k Jordan block
+    by about u^(1/k), above the gap, but their eigenvectors stay dependent
+    and their mean t stays accurate, so (A - t I)^k keeps a numerical kernel
+    of dimension k.  Each group is the longest such run from its start.
+    """
+    ev, V = np.linalg.eig(mat)
     order = np.argsort(ev.real * 1e6 + ev.imag)  # stable deterministic order
     scale = max(1.0, np.abs(ev).max())
-    groups, cur = [], [order[0]]
-    for idx in order[1:]:
-        if abs(ev[idx] - ev[cur[-1]]) <= EIG_CLUSTER_GAP * scale:
-            cur.append(idx)
-        else:
-            groups.append(np.array(cur))
-            cur = [idx]
-    groups.append(np.array(cur))
-    return groups
+    d = mat.shape[0]
+
+    def is_cluster(idx):
+        if np.all(np.abs(np.diff(ev[idx])) <= EIG_CLUSTER_GAP * scale):
+            return True
+        if np.linalg.svd(V[:, idx], compute_uv=False)[-1] > 1e-6:
+            return False
+        k = len(idx)
+        Ak = np.linalg.matrix_power(mat - ev[idx].mean() * np.eye(d), k)
+        return np.linalg.svd(Ak, compute_uv=False)[d - k] <= 1e-12 * scale**k
+
+    groups, i = [], 0
+    while i < d:
+        j = next(j for j in range(d, i, -1) if is_cluster(order[i:j]))
+        groups.append(order[i:j])
+        i = j
+    return ev, groups
 
 
 def _generalized_eigenspaces(mat: np.ndarray):
     """Bases of generalized eigenspaces, via repeated kernels of (A - t I)^d."""
     d = mat.shape[0]
-    ev = np.linalg.eigvals(mat)
-    groups = _cluster_eigenvalues(ev)
+    ev, groups = _cluster_eigenvalues(mat)
     if len(groups) == 1:
         return [np.eye(d, dtype=complex)]
     bases = []

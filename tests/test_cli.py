@@ -165,6 +165,41 @@ def test_cli_solve_blowup_chains_destabilizer(tmp_path):
         assert item["value"] <= item["tolerance"], key
 
 
+@pytest.mark.parametrize("monodromy", [
+    "monodromy1 = 1 1 0 1\nmonodromy2 = 1 0 0 1",
+    "monodromy1 = 1 0 0 1\nmonodromy2 = 1 1 0 1",
+], ids=["axis1", "axis2"])
+def test_cli_blowup_t2_line_search_work(tmp_path, monodromy):
+    # the blowup_t2 benchmark config: each line search stops once a shorter
+    # step stops helping, which cuts its trials from 177 to 56 and leaves
+    # the directions and the blow-up point as they were
+    cfg = """
+[torus]
+dim = 2
+resolution = 16
+
+[metric]
+type = constant
+matrix = 1.0
+
+[bundle]
+rank = 2
+{monodromy}
+
+[solver]
+m_max = 25
+
+[output]
+dir = {out}
+"""
+    p = write(tmp_path / "c.ini", cfg.format(monodromy=monodromy, out=tmp_path / "out"))
+    assert main(["solve", "--config", p, "--quiet"]) == 0
+    rep = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert rep["status"] == "blowup"
+    assert (rep["line_search_trials"], rep["newton_directions"]) == (56, 33)
+    assert rep["m_at_blowup"] == pytest.approx(25.631830764240554, rel=1e-12)
+
+
 def test_cli_unipotent_conformal_sin_blows_up(tmp_path):
     # the unipotent bundle under a conformal_sin metric blows up to span(e1);
     # with each Newton direction solved only to its forcing term the whole

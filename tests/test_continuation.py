@@ -398,6 +398,88 @@ def test_newton_solve_passes_its_forcing_term(polystable_t1, monkeypatch):
     assert [eta for _, eta in calls] == [forcing_term(1e-8, res) for res, _ in calls]
 
 
+@pytest.fixture(scope="module")
+def blowup_t2_eps_zero_probe():
+    """The problem and starting state of the first eps = 0 probe of the
+    blowup_t2 run (T^2 N=16, unipotent x I, m_max 25).  The probe contracts
+    by about 0.37 per step, so no line-search trial reaches the 0.3 cut."""
+    t = AffineTorus(2, 16)
+    g = MetricField(t, np.eye(2))
+    probes = []
+    newton = continuation.newton_solve
+
+    def capturing(problem, eps, f, **kwargs):
+        if eps == 0.0 and not probes:
+            probes.append((problem, np.array(f)))
+        return newton(problem, eps, f, **kwargs)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(continuation, "newton_solve", capturing)
+    try:
+        run_continuation(build_bundle([UNIPOTENT, np.eye(2)]), t, g, m_max=25.0)
+    finally:
+        mp.undo()
+    return probes[0]
+
+
+@pytest.mark.parametrize("case", ["polystable_t1", "blowup_t2_eps_zero_probe"])
+def test_line_search_picks_the_exhaustive_best(case, request, monkeypatch):
+    # newton_solve stops its line search once a shorter step stops helping;
+    # every direction still ends at the f an exhaustive search over all 9
+    # step lengths picks, computed here beside it
+    prob, f0 = request.getfixturevalue(case)
+    eps = 0.5 if case == "polystable_t1" else 0.0
+    searches = []
+    solve = ContinuationProblem.solve_newton_direction
+
+    def searching(self, lin, L, eta):
+        s = solve(self, lin, L, eta)
+        trials = [self.renormalize_det(self.update(lin, s, 0.5**k)) for k in range(9)]
+        res = [self.calc0.sup_norm(self.residual(f, lin.eps)) for f in trials]
+        searches.append((self.calc0.sup_norm(L), trials[int(np.argmin(res))], min(res)))
+        return s
+
+    monkeypatch.setattr(ContinuationProblem, "solve_newton_direction", searching)
+    before = prob.work["line_search_trials"]
+    st = newton_solve(prob, eps, f0, m_max=25.0)
+    trials = prob.work["line_search_trials"] - before
+    assert len(searches) == len(st.history) >= 2
+    assert trials < 9 * len(searches)
+    for i, (res, _, res_best) in enumerate(searches):
+        assert res_best < res * (1.0 - 1e-4)  # the exhaustive pick is accepted
+        assert st.history[i][1] == res_best
+        if i + 1 < len(searches):
+            assert searches[i + 1][0] == res_best
+    assert np.array_equal(st.f, searches[-1][1])
+
+
+def test_line_search_rejects_a_singular_trial(polystable_t1, monkeypatch):
+    # a trial whose residual raises LinAlgError (a numerically singular f in
+    # f^{-1} del_0 f) is rejected like a non-finite one: with the first full
+    # step singular, newton_solve takes the half step
+    prob, f1 = polystable_t1
+    steps, seen = [None], []
+    update, res_norm = ContinuationProblem.update, ContinuationProblem.res_norm
+
+    def recording_update(self, lin, s, step=1.0):
+        steps.append(step)
+        return update(self, lin, s, step)
+
+    def singular_first_full_step(self, f, eps):
+        if steps[-1] == 1.0 and not any(step == 1.0 for step, _ in seen):
+            seen.append((1.0, None))
+            raise np.linalg.LinAlgError("Singular matrix")
+        seen.append((steps[-1], res_norm(self, f, eps)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(ContinuationProblem, "update", recording_update)
+    monkeypatch.setattr(ContinuationProblem, "res_norm", singular_first_full_step)
+    st = newton_solve(prob, 0.5, f1)
+    assert st.converged
+    assert [step for step, _ in seen[:3]] == [None, 1.0, 0.5]
+    assert st.history[0][1] == seen[2][1] < seen[0][1]
+
+
 def test_newton_stall_beyond_stall_accept_diverges(polystable_t1):
     prob, f1 = polystable_t1
     with pytest.raises(Diverged):
@@ -501,12 +583,14 @@ def test_run_reports_its_krylov_work(monkeypatch):
     # the counters in the diagnostics match an independent count of the
     # Krylov solves made inside newton_solve (directions) and outside it
     # (tangents), the lgmres matvecs and unconverged lgmres stops of both
-    # (the background normalization runs lgmres too), and the diverged
-    # eps > 0 stages (one is injected)
+    # (the background normalization runs lgmres too), the line-search trials
+    # (the updates made inside newton_solve) and the diverged eps > 0 stages
+    # (one is injected)
     counts = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
-                  lgmres_unconverged=0, eps_backtracks=0)
+                  lgmres_unconverged=0, eps_backtracks=0, line_search_trials=0)
     lgmres = spla.lgmres
     solve = ContinuationProblem.solve_newton_direction
+    update = ContinuationProblem.update
     inside = []
     attempts = []
     failing_stage(monkeypatch, 3, attempts)
@@ -527,6 +611,10 @@ def test_run_reports_its_krylov_work(monkeypatch):
         finally:
             inside.pop()
 
+    def counting_update(self, *args):
+        counts["line_search_trials"] += inside == ["newton"]
+        return update(self, *args)
+
     def counting_lgmres(A, rhs, **kwargs):
         if "krylov" not in inside:
             return lgmres(A, rhs, **kwargs)
@@ -541,6 +629,7 @@ def test_run_reports_its_krylov_work(monkeypatch):
 
     monkeypatch.setattr(continuation, "newton_solve", counting_newton)
     monkeypatch.setattr(ContinuationProblem, "solve_newton_direction", counting_solve)
+    monkeypatch.setattr(ContinuationProblem, "update", counting_update)
     monkeypatch.setattr(spla, "lgmres", counting_lgmres)
     t = AffineTorus(1, 32)
     g = MetricField(t, np.eye(1))
@@ -551,6 +640,7 @@ def test_run_reports_its_krylov_work(monkeypatch):
     counts["eps_backtracks"] = sum(raised for eps, raised in attempts if eps > 0)
     assert counts["krylov_matvecs"] > counts["newton_directions"] > 0
     assert counts["tangent_solves"] > 0 and counts["eps_backtracks"] == 1
+    assert counts["line_search_trials"] >= counts["newton_directions"]
     assert {k: res.diagnostics[k] for k in counts} == counts
 
 
@@ -632,9 +722,8 @@ def test_run_unipotent_blowup_small():
 
 def test_conjugated_unipotent_blows_up_to_P_e1():
     # rho_1 = P U P^{-1} is the unipotent bundle written in another frame, so
-    # the path blows up and the destabilizer is span(P e1).  The snapped
-    # subspace is an eigenvector of a Jordan block, accurate to about the
-    # square root of machine epsilon.
+    # the path blows up and the destabilizer is span(P e1), the one invariant
+    # line that the enumeration finds for the Jordan block.
     t = AffineTorus(2, 16)
     g = MetricField(t, np.eye(2))
     P = np.eye(2) + 0.5 * np.random.default_rng(0).standard_normal((2, 2))

@@ -70,6 +70,46 @@ def test_enumerate_rank3_invariant_plane():
         assert F.invariance_residual <= 1e-10
 
 
+def span_distance(basis, cols):
+    Q, _ = np.linalg.qr(cols)
+    return np.linalg.norm(basis - Q @ (np.conj(Q.T) @ basis))
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_enumerate_conjugated_jordan_block_once(s):
+    # rho_1 = P U P^{-1}: roundoff splits its defective eigenvalue (by 1.5e-8
+    # at s = 0 and 1.9e-8 at s = 2, above EIG_CLUSTER_GAP), and the one
+    # invariant line span(P e1) is still enumerated, and witnessed, once
+    P = np.eye(2) + 0.5 * np.random.default_rng(s).standard_normal((2, 2))
+    b = build_bundle([P @ UNIPOTENT @ np.linalg.inv(P), np.eye(2)])
+    subs = enumerate_flat_subbundles(b)
+    assert [F.rank for F in subs] == [1]
+    assert span_distance(subs[0].basis, P[:, :1]) < 1e-8
+    t = AffineTorus(2, 8)
+    rep = stability_verdict(b, t, MetricField(t, np.eye(2)))
+    assert len(rep.witnesses) == 1
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_enumerate_conjugated_rank3_jordan_flag(s):
+    # a 3 x 3 Jordan block splits by about u^(1/3), near 1e-5; its
+    # invariant flag span(P e1) < span(P e1, P e2) is still found
+    J3 = np.array([[1.0, 1, 0], [0, 1, 1], [0, 0, 1]])
+    P = np.eye(3) + 0.5 * np.random.default_rng(s).standard_normal((3, 3))
+    subs = sorted(enumerate_flat_subbundles(build_bundle([P @ J3 @ np.linalg.inv(P)])),
+                  key=lambda F: F.rank)
+    assert [F.rank for F in subs] == [1, 2]
+    assert span_distance(subs[0].basis, P[:, :1]) < 1e-8
+    assert span_distance(subs[1].basis, P[:, :2]) < 1e-8
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-7])
+def test_enumerate_close_distinct_eigenvalues(gap):
+    # close eigenvalues of a diagonalizable matrix are not merged
+    subs = enumerate_flat_subbundles(build_bundle([np.diag([2.0, 2.0 + gap])]))
+    assert len(subs) == 2
+
+
 def test_enumerate_multi_axis():
     b = build_bundle([np.diag([2.0, 3.0]), np.diag([5.0, 7.0])])
     assert len(enumerate_flat_subbundles(b)) == 2
