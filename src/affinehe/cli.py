@@ -65,6 +65,7 @@ def cmd_gauduchon(cfg: RunConfig) -> int:
         "kernel_gap": res.kernel_gap,
         "already_gauduchon": res.already_gauduchon,
         "iterations": res.iterations,
+        "kernel_solve_converged": res.converged,
     }, cfg.quiet)
     return 0
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -136,11 +136,6 @@ class Form:
         """The End-valued (0,0)-form of a gauge-stored endomorphism field."""
         return cls(torus, 0, 0, np.asarray(F, dtype=complex)[..., None, None, :, :],
                    bundle)
-
-    def scalar(self) -> np.ndarray:
-        if (self.p, self.q) != (0, 0) or self.bundle is not None:
-            raise ValidationError("scalar() only defined for scalar (0,0)-forms")
-        return self.coeffs[..., 0, 0]
 
     def _new(self, coeffs: np.ndarray) -> "Form":
         return Form(self.torus, self.p, self.q, coeffs, self.bundle)
@@ -273,21 +268,16 @@ class MetricField:
         if ev.min() <= 0:
             raise NonHPD(f"metric not positive definite (min eigenvalue {ev.min():.3e})")
         self.g = g
-        self._inv = None
-        self._det = None
         self._omega_pow: dict[int, Form] = {}
+        self.cache: dict = {}   # fields other modules derive once per metric
 
-    @property
+    @cached_property
     def inv(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = np.linalg.inv(self.g)
-        return self._inv
+        return np.linalg.inv(self.g)
 
-    @property
+    @cached_property
     def det(self) -> np.ndarray:
-        if self._det is None:
-            self._det = np.linalg.det(self.g)
-        return self._det
+        return np.linalg.det(self.g)
 
     def omega(self) -> Form:
         """The nondegenerate (1,1)-form g_ij dz^i (x) dzbar^j."""

@@ -4,7 +4,10 @@ Every conformal class [g] on the special affine torus contains a metric with
 del delbar (omega^{n-1}) = 0, obtained as phi^{1/(n-1)} g from a positive
 zero mode of the linear operator
 
-    Q(phi) = del delbar (phi omega_g^{n-1}) / omega_g^n .
+    Q(phi) = del delbar (phi omega_g^{n-1}) / omega_g^n
+           = (1 / 4n det g) sum_ij d_i d_j (det g g^{ij} phi),
+
+a Fourier multiplier on the adjugate fields, since the grid partials d_i are.
 
 Q is only applied, never assembled: a preconditioned GMRES solve of a
 bordered system gives the kernel vector, and Lanczos and LOBPCG on Q^H Q
@@ -21,8 +24,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import KernelNotOneDimensional, NoPositiveKernel, ValidationError
-from .forms import (Form, MetricField, _derivative_table, div_by_nu, dolbeault_del,
-                    dolbeault_delbar, laplacian_symbol, laplacian_type)
+from .forms import MetricField, laplacian_symbol, laplacian_type
 
 
 @dataclass
@@ -35,41 +37,43 @@ class GauduchonResult:
     q_residual: float           # sup |Q(factor)|
     kernel_gap: float           # sigma_2 / sigma_max of the discrete Q
     iterations: int = 0         # GMRES iterations of the kernel solve
+    converged: bool = True      # that solve met its relative residual 1e-12
     already_gauduchon: bool = False
+
+
+def _multiplier(metric: MetricField):
+    """(a, m, d) with Q(phi) = ifftn(sum_k m_k fftn(a_k phi)) / d over pairs
+    i <= j: a_k = det g g^{ij} (doubled for i < j), m_k = -s_i s_j the grid
+    symbol of d_i d_j, d = 4n det g; cached on the metric, freed with it."""
+    if "Q" not in metric.cache:
+        n = metric.torus.dim
+        adj = metric.det[..., None, None] * metric.inv
+        s = np.meshgrid(*(metric.torus.derivative_symbol(),) * n, indexing="ij")
+        pairs = list(zip(*np.triu_indices(n)))
+        metric.cache["Q"] = (
+            np.stack([(1 + (i != j)) * adj[..., i, j] for i, j in pairs]),
+            np.stack([-s[i] * s[j] for i, j in pairs]), 4 * n * metric.det)
+    return metric.cache["Q"]
 
 
 def apply_Q(metric: MetricField, phi: np.ndarray) -> np.ndarray:
     """Q(phi) = del delbar (phi omega^{n-1}) / omega^n; linear in phi."""
-    torus = metric.torus
-    n = torus.dim
+    n = metric.torus.dim
     if n < 2:
         raise ValidationError("Q is identically zero for n = 1; every metric is "
                               "affine Gauduchon")
-    base = metric.omega_pow(n - 1)
-    scaled = Form(torus, n - 1, n - 1,
-                  base.coeffs * np.asarray(phi, dtype=complex)[..., None, None])
-    top = dolbeault_del(dolbeault_delbar(scaled))
-    return div_by_nu(top) / metric.volume_density()
+    a, m, d = _multiplier(metric)
+    return np.fft.ifftn((m * np.fft.fftn(a * phi, axes=range(1, n + 1))).sum(axis=0)) / d
 
 
 def apply_QH(metric: MetricField, psi: np.ndarray) -> np.ndarray:
     """Exact Euclidean adjoint of the discrete Q (not the continuum Q*).
 
-    Runs the derivative tables of apply_Q backwards; each grid partial is
-    anti-Hermitian, so its adjoint is its negative.
+    The steps of apply_Q in reverse: a, m and d are real and fftn^H is P
+    ifftn on P grid points, so Q^H psi = sum_k a_k ifftn(m_k fftn(psi / d)).
     """
-    torus = metric.torus
-    n = torus.dim
-    table = _derivative_table(n, n - 1)
-    u = (-1) ** (n * (n - 1) // 2) * np.asarray(psi) / metric.volume_density()
-    chi = torus.zeros(n, 1)              # adjoint of del: (n,n) -> (n-1,n)
-    for axis, i_in, _, sgn in table:
-        chi[..., i_in, 0] -= (0.5 * sgn) * torus.partial(u, axis)
-    out = torus.zeros(n, n)              # adjoint of delbar: -> (n-1,n-1)
-    for axis, j_in, _, sgn in table:
-        out[..., :, j_in] -= (0.5 * (-1) ** (n - 1) * sgn) * torus.partial(
-            chi[..., :, 0], axis)
-    return np.einsum("...ij,...ij->...", np.conj(metric.omega_pow(n - 1).coeffs), out)
+    a, m, d = _multiplier(metric)
+    return (a * np.fft.ifftn(m * np.fft.fftn(psi / d), axes=range(1, a.ndim))).sum(axis=0)
 
 
 def apply_Qstar(metric: MetricField, psi: np.ndarray) -> np.ndarray:
@@ -89,13 +93,13 @@ KERNEL_GAP_MIN = 1e-6       # sigma_2 must exceed this times sigma_max
 LOBPCG_TOL = 1e-10          # eigen-residual tolerance, relative to sigma_max^2
 
 
-def kernel_singular_values(metric: MetricField,
-                           phi: np.ndarray) -> tuple[float, float]:
+def kernel_singular_values(metric: MetricField, phi: np.ndarray) -> tuple[float, float]:
     """(sigma_2, sigma_max) of the discrete Q, from Q^H Q without a matrix.
 
-    sigma_max^2 by Lanczos; sigma_2^2 by LOBPCG from a fixed-seed block of
-    three, on the complement of the kernel vector ``phi`` (a degenerate
-    kernel leaves a null vector there).  Q = V^{-1} L s exactly for
+    sigma_max^2 by Lanczos; sigma_2^2 by LOBPCG on the complement of the
+    kernel vector ``phi`` (a degenerate kernel leaves a null vector there),
+    from one fixed-seed vector smoothed by the preconditioner (white noise
+    stalls it on strongly varying metrics).  Q = V^{-1} L s exactly for
     conformally flat metrics (V the volume density, s = V tr g^{-1}, L of
     constant coefficients); the preconditioner inverts that form, with L's
     symbol raised to its least nonzero value where it vanishes, so the fd
@@ -115,22 +119,24 @@ def kernel_singular_values(metric: MetricField,
     def precondition(v):
         return torus.fft_divide(torus.fft_divide(v / s, p) * V**2, p) / s
 
+    start = precondition(rng.standard_normal(torus.grid_shape) + 0j).reshape(-1, 1)
     with warnings.catch_warnings():
         # an unconverged run still returns Ritz values: upper bounds
         warnings.simplefilter("ignore", UserWarning)
-        lam = spla.lobpcg(QHQ, rng.standard_normal((torus.n_points, 3)) + 0j,
+        lam = spla.lobpcg(QHQ, start,
                           Y=phi.reshape(-1, 1) / np.linalg.norm(phi),
                           M=torus.operator(precondition), largest=False,
                           tol=LOBPCG_TOL * lam_max, maxiter=200)[0]
-    return float(np.sqrt(max(lam.real.min(), 0.0))), float(np.sqrt(lam_max))
+    return float(np.sqrt(max(lam.real[0], 0.0))), float(np.sqrt(lam_max))
 
 
 def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     """Positive kernel element of Q, normalized, with the rescaled metric.
 
     Solves (Q + mean) phi = 1 by GMRES to relative residual 1e-12 within
-    four restart cycles of 50; since the volume weights annihilate
-    Q from the left, phi has mean one and Q phi = 0.  Raises
+    four restart cycles of 50, then once more from there (``converged``
+    says if it got there); since the volume weights annihilate Q from the
+    left, phi has mean one and Q phi = 0.  Raises
     KernelNotOneDimensional if a second near-null direction exists, then
     NoPositiveKernel unless phi is real and of one sign.
     """
@@ -148,10 +154,13 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     symbol = -laplacian_symbol(metric) / n
     bordered = torus.operator(lambda v: apply_Q(metric, v) + v.mean())
     fft_inverse = torus.operator(lambda v: torus.fft_divide(v, symbol))
-    steps = []
-    x, _ = spla.gmres(bordered, np.ones(torus.n_points, dtype=complex), M=fft_inverse,
-                      rtol=1e-12, atol=0.0, restart=50, maxiter=4,
-                      callback=steps.append, callback_type="pr_norm")
+    x, steps = None, []
+    for _ in range(2):  # scipy's breakdown test can stop short of rtol: restart
+        x, info = spla.gmres(bordered, np.ones(torus.n_points, dtype=complex), x0=x,
+                             M=fft_inverse, rtol=1e-12, atol=0.0, restart=50, maxiter=4,
+                             callback=steps.append, callback_type="pr_norm")
+        if info == 0:
+            break
     if not 0.0 < np.linalg.norm(x) < np.inf:
         # (Q + mean) v = 0 forces mean(v) = 0 and Q v = 0
         raise KernelNotOneDimensional(
@@ -178,4 +187,4 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     return GauduchonResult(
         factor=phi, metric=g_G, residual=g_G.gauduchon_residual(),
         q_residual=float(np.abs(apply_Q(metric, phi)).max()),
-        kernel_gap=sigma_2 / sigma_max, iterations=len(steps))
+        kernel_gap=sigma_2 / sigma_max, iterations=len(steps), converged=info == 0)

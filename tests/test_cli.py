@@ -304,6 +304,7 @@ dir = {out}
     rep = json.loads((tmp_path / "out" / "gauduchon_report.json").read_text())
     assert rep["q_residual"]["value"] <= rep["q_residual"]["tolerance"]
     assert rep["factor_min"] > 0
+    assert rep["kernel_solve_converged"] is True
     assert (tmp_path / "out" / "gauduchon_factor.txt").exists()
 
 

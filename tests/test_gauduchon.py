@@ -8,9 +8,11 @@ factor.
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
-from affinehe.errors import KernelNotOneDimensional, ValidationError
-from affinehe.forms import MetricField
+import affinehe.gauduchon as gauduchon
+from affinehe.errors import KernelNotOneDimensional, NoPositiveKernel, ValidationError
+from affinehe.forms import MetricField, div_by_nu, dolbeault_del, dolbeault_delbar
 from affinehe.gauduchon import (
     KERNEL_GAP_MIN,
     apply_Q,
@@ -53,6 +55,36 @@ def sin_metric(torus, amplitude=0.5, axis=0):
     n = torus.dim
     factor = 1.0 + amplitude * np.sin(2 * np.pi * x)
     return MetricField(torus, np.eye(n)[(None,) * n] * factor[..., None, None])
+
+
+def bbt_metric(torus):
+    """g = I + 0.5 B B^T for a smooth random matrix field B: neither diagonal
+    nor conformally flat."""
+    rng = np.random.default_rng(1)
+    n = torus.dim
+    B = np.stack([random_smooth_scalar(torus, rng, modes=2, real=True).real
+                  for _ in range(n * n)], axis=-1).reshape(torus.grid_shape + (n, n))
+    return MetricField(torus, np.eye(n) + 0.5 * B @ np.swapaxes(B, -1, -2))
+
+
+def Q_by_forms(metric, phi):
+    """The defining formula div_by_nu(del delbar(phi omega^{n-1})) / V, in the
+    form calculus."""
+    scaled = metric.omega_pow(metric.torus.dim - 1) * phi
+    return div_by_nu(dolbeault_del(dolbeault_delbar(scaled))) / metric.volume_density()
+
+
+def record_gmres(monkeypatch):
+    """(info, true relative residual) of every GMRES solve, as it happens."""
+    gmres, solves = scipy.sparse.linalg.gmres, []
+
+    def recording(A, b, **kwargs):
+        x, info = gmres(A, b, **kwargs)
+        solves.append((info, np.linalg.norm(b - A.matvec(x)) / np.linalg.norm(b)))
+        return x, info
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", recording)
+    return solves
 
 
 def test_Q_constant_metric_on_constants():
@@ -175,14 +207,92 @@ def test_apply_QH_is_conjugate_transpose_of_Q(dim, N, backend):
 
 @pytest.mark.parametrize("dim,N,backend,amplitude", [
     (2, 16, "spectral", 0.5), (2, 32, "spectral", 0.5),
-    (3, 8, "spectral", 0.4), (2, 15, "fd", 0.5)])
+    (3, 8, "spectral", 0.4), (2, 15, "fd", 0.5), (3, 8, "spectral", 0.9)])
 def test_factor_matches_dense_oracle(dim, N, backend, amplitude):
     t = AffineTorus(dim, N, backend=backend)
     g = sin_metric(t, amplitude)
     phi_dense, gap_dense = dense_oracle(g)
     res = find_gauduchon_factor(g)
+    # the kernel solve's rtol of 1e-12 bounds the factor's error by about
+    # 1e-12 / gap; that exceeds 1e-10 only for a strongly varying metric
+    # (amplitude 0.9: gap 7.9e-6)
+    assert np.abs(res.factor - phi_dense).max() <= max(1e-10, 1e-12 / gap_dense)
+    assert abs(res.kernel_gap - gap_dense) <= 1e-6 * gap_dense
+
+
+NONDIAGONAL_GRIDS = [(2, 15, "spectral"), (3, 9, "spectral"), (2, 16, "spectral"),
+                     (3, 8, "spectral"), (2, 11, "fd")]
+
+
+@pytest.mark.parametrize("dim,N,backend", NONDIAGONAL_GRIDS)
+def test_Q_nondiagonal_metric_matches_form_calculus(dim, N, backend):
+    # white noise reaches every grid mode, the Nyquist modes included
+    t = AffineTorus(dim, N, backend=backend)
+    g = bbt_metric(t)
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        phi = rng.standard_normal(t.grid_shape) + 1j * rng.standard_normal(t.grid_shape)
+        expect = Q_by_forms(g, phi)
+        assert np.abs(apply_Q(g, phi) - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("dim,N,backend", NONDIAGONAL_GRIDS)
+def test_apply_QH_is_conjugate_transpose_nondiagonal(dim, N, backend):
+    g = bbt_metric(AffineTorus(dim, N, backend=backend))
+    A = assemble_Q(g)
+    AH = assemble_Q(g, apply_QH)
+    assert np.abs(AH - A.conj().T).max() <= 1e-12 * np.abs(A).max()
+
+
+@pytest.mark.parametrize("dim,N", [(2, 15), (3, 9)])
+def test_factor_nondiagonal_matches_dense_oracle(dim, N):
+    g = bbt_metric(AffineTorus(dim, N))
+    phi_dense, gap_dense = dense_oracle(g)
+    res = find_gauduchon_factor(g)
     assert np.abs(res.factor - phi_dense).max() <= 1e-10
     assert abs(res.kernel_gap - gap_dense) <= 1e-6 * gap_dense
+
+
+def test_factor_nondiagonal_even_grid_has_no_positive_kernel():
+    # known failure: at even N the spectral partial gives the Nyquist mode a
+    # non-real factor, so Q is complex and so is its kernel vector
+    with pytest.raises(NoPositiveKernel):
+        find_gauduchon_factor(bbt_metric(AffineTorus(2, 16)))
+
+
+def test_kernel_certificate_work(monkeypatch):
+    # LOBPCG from one vector meets its tolerance in about 20 Q^H Q products
+    calls = []
+
+    def counting(metric, psi):
+        calls.append(1)
+        return apply_QH(metric, psi)
+
+    monkeypatch.setattr(gauduchon, "apply_QH", counting)
+    find_gauduchon_factor(sin_metric(AffineTorus(3, 8), 0.4))
+    assert len(calls) <= 50
+
+
+def test_kernel_solve_restarts_when_gmres_stops_short(monkeypatch):
+    # scipy's "exact solution" breakdown test ends the first solve above
+    # rtol = 1e-12; one restart from its result reaches rtol
+    solves = record_gmres(monkeypatch)
+    with pytest.raises(KernelNotOneDimensional):     # gap 2.4e-7
+        find_gauduchon_factor(sin_metric(AffineTorus(3, 8), 0.95, axis=1))
+    (info1, res1), (info2, res2) = solves
+    assert info1 != 0 and res1 > 1e-12
+    assert info2 == 0 and res2 <= 1e-12
+
+
+@pytest.mark.parametrize("N,converged", [(8, True), (10, False)])
+def test_kernel_solve_reports_convergence(monkeypatch, N, converged):
+    # both first solves stop short; at N=10 the restart ends short of rtol as
+    # well, at about 5e-12, and the result must say so
+    solves = record_gmres(monkeypatch)
+    res = find_gauduchon_factor(sin_metric(AffineTorus(3, N), 0.9))
+    assert len(solves) == 2                  # the first solve stopped short
+    assert res.converged == (solves[-1][1] <= 1e-12) == converged
+    assert solves[-1][1] <= 1e-9
 
 
 @pytest.mark.parametrize("dim,N", [(2, 12), (2, 16), (3, 8)])
