@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -268,16 +268,21 @@ class MetricField:
         if ev.min() <= 0:
             raise NonHPD(f"metric not positive definite (min eigenvalue {ev.min():.3e})")
         self.g = g
+        self._inv = None
+        self._det = None
         self._omega_pow: dict[int, Form] = {}
-        self.cache: dict = {}   # fields other modules derive once per metric
 
-    @cached_property
+    @property
     def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g)
+        if self._inv is None:
+            self._inv = np.linalg.inv(self.g)
+        return self._inv
 
-    @cached_property
+    @property
     def det(self) -> np.ndarray:
-        return np.linalg.det(self.g)
+        if self._det is None:
+            self._det = np.linalg.det(self.g)
+        return self._det
 
     def omega(self) -> Form:
         """The nondegenerate (1,1)-form g_ij dz^i (x) dzbar^j."""

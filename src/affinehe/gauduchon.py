@@ -18,6 +18,7 @@ metric is affine Gauduchon and the factor is identically one.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,19 +42,22 @@ class GauduchonResult:
     already_gauduchon: bool = False
 
 
+_MULTIPLIERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _multiplier(metric: MetricField):
     """(a, m, d) with Q(phi) = ifftn(sum_k m_k fftn(a_k phi)) / d over pairs
     i <= j: a_k = det g g^{ij} (doubled for i < j), m_k = -s_i s_j the grid
-    symbol of d_i d_j, d = 4n det g; cached on the metric, freed with it."""
-    if "Q" not in metric.cache:
+    symbol of d_i d_j, d = 4n det g; kept per metric, freed with it."""
+    if metric not in _MULTIPLIERS:
         n = metric.torus.dim
         adj = metric.det[..., None, None] * metric.inv
         s = np.meshgrid(*(metric.torus.derivative_symbol(),) * n, indexing="ij")
         pairs = list(zip(*np.triu_indices(n)))
-        metric.cache["Q"] = (
+        _MULTIPLIERS[metric] = (
             np.stack([(1 + (i != j)) * adj[..., i, j] for i, j in pairs]),
             np.stack([-s[i] * s[j] for i, j in pairs]), 4 * n * metric.det)
-    return metric.cache["Q"]
+    return _MULTIPLIERS[metric]
 
 
 def apply_Q(metric: MetricField, phi: np.ndarray) -> np.ndarray:
@@ -134,9 +138,9 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     """Positive kernel element of Q, normalized, with the rescaled metric.
 
     Solves (Q + mean) phi = 1 by GMRES to relative residual 1e-12 within
-    four restart cycles of 50, then once more from there (``converged``
-    says if it got there); since the volume weights annihilate Q from the
-    left, phi has mean one and Q phi = 0.  Raises
+    four restart cycles of 50, then once more from a finite nonzero result
+    (``converged`` says if it got there); since the volume weights annihilate
+    Q from the left, phi has mean one and Q phi = 0.  Raises
     KernelNotOneDimensional if a second near-null direction exists, then
     NoPositiveKernel unless phi is real and of one sign.
     """
@@ -159,7 +163,7 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
         x, info = spla.gmres(bordered, np.ones(torus.n_points, dtype=complex), x0=x,
                              M=fft_inverse, rtol=1e-12, atol=0.0, restart=50, maxiter=4,
                              callback=steps.append, callback_type="pr_norm")
-        if info == 0:
+        if info == 0 or not 0.0 < np.linalg.norm(x) < np.inf:
             break
     if not 0.0 < np.linalg.norm(x) < np.inf:
         # (Q + mean) v = 0 forces mean(v) = 0 and Q v = 0
