@@ -385,32 +385,21 @@ class HermCalculus:
     def eigvals(self, F: np.ndarray) -> np.ndarray:
         return self.eig(F)[0]
 
-    def apply(self, F: np.ndarray, func, floor: float | None = None) -> np.ndarray:
-        w, U = self.eig(F)
-        if floor is not None:
-            w = np.maximum(w, floor)
-        return self.from_eig(U, func(w))
-
     def from_eig(self, U: np.ndarray, fw: np.ndarray) -> np.ndarray:
         """The h-self-adjoint field with h-orthonormal eigenframe U (as
         returned by ``eig``) and eigenvalues fw."""
         return self.from_hermitian(pmul(U * fw[..., None, :], np.conj(np.swapaxes(U, -1, -2))))
 
-    def log(self, F: np.ndarray) -> np.ndarray:
-        return self.apply(F, np.log, floor=1e-30)
-
     def exp(self, F: np.ndarray) -> np.ndarray:
-        # clip keeps a wild Newton trial finite; the line search rejects it
-        return self.apply(F, lambda w: np.exp(np.minimum(w, 500.0)))
-
-    def power(self, F: np.ndarray, sigma: float) -> np.ndarray:
-        return self.apply(F, lambda w: w**sigma, floor=1e-30)
-
-    def dlog(self, F: np.ndarray):
-        """The Frechet derivative Phi -> Dlog_F[Phi] of log at the HPD field
-        F (complex-linear), from one eigendecomposition: the Daleckii-Krein
-        P ((Q Phi P) * ratio) Q with P = h^{-1/2} U, Q = U^dag h^{1/2}."""
+        # clip keeps the result finite, as in ``ContinuationProblem.update``
         w, U = self.eig(F)
+        return self.from_eig(U, np.exp(np.minimum(w, 500.0)))
+
+    def dlog(self, w: np.ndarray, U: np.ndarray):
+        """The Frechet derivative Phi -> Dlog_F[Phi] of log at the HPD field
+        F with eigendecomposition (w, U) from ``eig`` (complex-linear): the
+        Daleckii-Krein P ((Q Phi P) * ratio) Q with P = h^{-1/2} U,
+        Q = U^dag h^{1/2}."""
         w = np.maximum(w, 1e-300)
         P = pmul(self.isqrt, U)
         Q = pmul(np.conj(np.swapaxes(U, -1, -2)), self.sqrt)

@@ -8,7 +8,8 @@ seed: a CSV convergence log (columns step,epsilon,residual,m,det_defect),
 columnar field dumps, and JSON reports whose numeric entries carry the
 tolerance they were tested against.
 
-Exit codes: 0 success, 1 validation error, 2 solver failure, 3 internal
+Exit codes: 0 success, 1 validation error, 2 solver failure (including a
+``converged`` solve whose K_defect is above its tolerance), 3 internal
 invariant violation.
 """
 
@@ -25,6 +26,8 @@ from . import errors
 from .bundle import canonical_metric, hermitize, random_hermitian_metric
 from .config import RunConfig, load_config
 from .fields_io import dump_field, load_field
+
+K_DEFECT_TOL = 1e-6  # sup |K(h) - gamma I| a converged solve must reach
 
 
 def _report(path: Path, payload: dict, quiet: bool):
@@ -136,7 +139,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                 "krylov_matvecs", "lgmres_unconverged", "eps_backtracks"):
         payload[key] = result.diagnostics[key]
     if result.status == "converged":
-        payload["K_defect"] = {"value": result.K_defect, "tolerance": 1e-6}
+        payload["K_defect"] = {"value": result.K_defect, "tolerance": K_DEFECT_TOL}
         dump_field(out / "final_metric.txt", torus,
                    gauge.herm_to_flat(result.final_metric), "hermitian")
     if result.status == "blowup":
@@ -150,13 +153,18 @@ def cmd_solve(cfg: RunConfig) -> int:
                                   result.blowup_data, result.h0, out)
         if code != 0:
             return code
+    failure = None
     if result.status == "max-iters":
         payload["message"] = result.diagnostics["message"]
-        _report(out / "solve_report.json", payload, cfg.quiet)
-        print("solver failure: continuity method stopped without convergence "
-              f"or blow-up: {payload['message']}", file=sys.stderr)
-        return 2
+        failure = ("continuity method stopped without convergence or blow-up: "
+                   f"{payload['message']}")
+    if result.status == "converged" and not result.K_defect <= K_DEFECT_TOL:
+        failure = (f"converged run has K_defect {result.K_defect:.3e} above its "
+                   f"tolerance {K_DEFECT_TOL:.1e}")
     _report(out / "solve_report.json", payload, cfg.quiet)
+    if failure is not None:
+        print(f"solver failure: {failure}", file=sys.stderr)
+        return 2
     return 0
 
 

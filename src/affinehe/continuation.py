@@ -21,8 +21,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
+from . import krylov
 from .bundle import (
     Del0,
     FlatBundle,
@@ -74,10 +74,10 @@ def solve_scalar_elliptic(gG: MetricField, rhs: np.ndarray) -> tuple[np.ndarray,
     scale = max(np.abs(rhs).max(), 1e-30)
 
     mult = -laplacian_symbol(gG)
-    A = torus.operator(lambda rho: laplacian_type(gG, rho) + rho.mean())
-    M = torus.operator(lambda rho: torus.fft_divide(rho, mult))
+    A = torus.raveled(lambda rho: laplacian_type(gG, rho) + rho.mean())
+    M = torus.raveled(lambda rho: torus.fft_divide(rho, mult))
     tol = 1e-12  # relative lgmres tolerance, and the scale of the acceptance test
-    x, info = spla.lgmres(A, rhs.ravel(), M=M, rtol=tol, atol=tol * scale, maxiter=400)
+    x, info, _ = krylov.lgmres(A, rhs.ravel(), M, rtol=tol, atol=tol * scale, maxiter=400)
     rho = x.reshape(torus.grid_shape)
     rho -= rho.mean()
     achieved = float(np.abs(laplacian_type(gG, rho) - rhs).max())
@@ -137,6 +137,23 @@ def normalize_background(bundle: FlatBundle, torus: AffineTorus,
 
 
 @dataclass(frozen=True)
+class Evaluation:
+    """L_eps at one state f, with what evaluating it computed that the Newton
+    step from f reuses: one h_0-eigendecomposition of f, f^{-1} and
+    f^{-1} del_0 f.  A line search keeps the record of its best trial."""
+
+    f: np.ndarray
+    eps: float
+    w: np.ndarray             # eigenvalues of f, ascending (``HermCalculus.eig``)
+    U: np.ndarray             # their h_0-orthonormal frame
+    logf: np.ndarray          # log f
+    finv: np.ndarray          # f^{-1}
+    finv_d0f: np.ndarray      # f^{-1} del_0 f, (1,0)-form coefficients
+    L: np.ndarray             # L_eps(f)
+    res: float                # sup_x |L_eps(f)|_{h_0}
+
+
+@dataclass(frozen=True)
 class Linearization:
     """What DL_eps(f) needs that depends only on f, frozen per Newton direction."""
 
@@ -163,7 +180,6 @@ class ContinuationProblem:
         self.K0_shift = self.K0 - gamma * self.eye
         # symbol of -tr_g delbar del_0 at f = I
         self._symbol = laplacian_symbol(gG)
-        self.last_residual: np.ndarray | None = None
         # work of the run; lgmres_unconverged counts stops with info != 0
         self.work = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
                          lgmres_unconverged=0, eps_backtracks=0, line_search_trials=0)
@@ -173,37 +189,31 @@ class ContinuationProblem:
         """tr_g delbar of the End-valued (1,0)-form with these coefficients."""
         return trace_g(self.gG, end_delbar(Form(self.torus, 1, 0, coeffs, self.bundle)))
 
-    def _log_derivative(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f^{-1} and the coefficients of f^{-1} del_0 f."""
-        finv = np.linalg.inv(f)
-        d0f = covariant_del0(self.bundle, self.torus, self.del0, f)
-        return finv, pmul(finv[..., None, None, :, :], d0f.coeffs)
+    def spectrum(self, f: np.ndarray):
+        """The h_0-eigendecomposition (w, U) of f and log f from it."""
+        w, U = self.calc0.eig(f)
+        return w, U, self.calc0.from_eig(U, np.log(np.maximum(w, 1e-30)))
 
-    def curvature_change(self, f: np.ndarray) -> np.ndarray:
-        """tr_g delbar (f^{-1} del_0 f), with the same formula at every rank.
+    def res_norm(self, f: np.ndarray, eps: float) -> Evaluation:
+        """Evaluate L_eps at f: the field L_eps(f) (gauge storage), its
+        sup_x |L_eps(f)|_{h_0} (``res``) and the pieces that the Newton step
+        from f reuses.
 
-        At rank 1 it is tr_g delbar (f^{-1} del f), which on the grid is
-        linear in log f only up to discretization error;
+        The curvature term tr_g delbar (f^{-1} del_0 f) has the same formula
+        at every rank.  At rank 1 it is tr_g delbar (f^{-1} del f), which on
+        the grid is linear in log f only up to discretization error;
         ``linearize_residual`` is its exact derivative at every rank.
         """
-        return self._trace_delbar(self._log_derivative(f)[1])
+        w, U, logf = self.spectrum(f)
+        finv = np.linalg.inv(f)
+        d0f = covariant_del0(self.bundle, self.torus, self.del0, f)
+        finv_d0f = pmul(finv[..., None, None, :, :], d0f.coeffs)
+        L = self.K0_shift + self._trace_delbar(finv_d0f) + eps * logf
+        return Evaluation(f, eps, w, U, logf, finv, finv_d0f, L, self.calc0.sup_norm(L))
 
-    def residual(self, f: np.ndarray, eps: float) -> np.ndarray:
-        """L_eps(f) as an endomorphism field (gauge storage)."""
-        logf = self.calc0.log(f)
-        return self.K0_shift + self.curvature_change(f) + eps * logf
-
-    def res_norm(self, f: np.ndarray, eps: float) -> float:
-        """sup_x |L_eps(f)|_{h_0}; the field L_eps(f) is kept in
-        ``last_residual`` for a caller that accepts f."""
-        self.last_residual = self.residual(f, eps)
-        return self.calc0.sup_norm(self.last_residual)
-
-    def m_and_det_defect(self, f: np.ndarray) -> tuple[float, float]:
+    def m_and_det_defect(self, w: np.ndarray, logf: np.ndarray) -> tuple[float, float]:
         """m = max over the grid of the flat-frame Frobenius norm of log f,
-        and sup |det f - 1|, from one eigendecomposition of f."""
-        w, U = self.calc0.eig(f)
-        logf = self.calc0.from_eig(U, np.log(np.maximum(w, 1e-30)))
+        and sup |det f - 1|, from the eigenvalues w of f and log f."""
         logf_flat = self.bundle.gauge(self.torus).end_to_flat(logf)
         m = float(np.sqrt(
             np.abs(np.einsum("...ab,...ab->...", logf_flat, np.conj(logf_flat)))
@@ -211,11 +221,12 @@ class ContinuationProblem:
         return m, float(np.abs(w.prod(axis=-1) - 1.0).max())
 
     # -- linearization ------------------------------------------------------
-    def linearization(self, f: np.ndarray, eps: float) -> Linearization:
-        """Freeze DL_eps at f: f^{-1}, f^{-1} del_0 f, f^{1/2} and Dlog_f."""
-        finv, finv_d0f = self._log_derivative(f)
-        dlog = self.calc0.dlog(f) if eps != 0.0 else None
-        return Linearization(eps, finv, finv_d0f, self.calc0.power(f, 0.5), dlog)
+    def linearization(self, at: Evaluation) -> Linearization:
+        """Freeze DL_eps at the evaluated f: f^{-1}, f^{-1} del_0 f, f^{1/2}
+        and Dlog_f, all from the evaluation."""
+        dlog = self.calc0.dlog(at.w, at.U) if at.eps != 0.0 else None
+        sqrt_f = self.calc0.from_eig(at.U, np.sqrt(np.maximum(at.w, 1e-30)))
+        return Linearization(at.eps, at.finv, at.finv_d0f, sqrt_f, dlog)
 
     def linearize_residual(self, lin: Linearization, phi: np.ndarray) -> np.ndarray:
         """The Krylov matvec: the derivative of L_eps at the f frozen in ``lin``
@@ -245,7 +256,8 @@ class ContinuationProblem:
         """Solve DL(f)[f^{1/2} s f^{1/2}] = -L over traceless Hermitian s,
         with DL frozen at f in ``lin``, to the relative linear residual
         ``eta`` that ``newton_solve`` takes from ``forcing_term``; counted in
-        ``work[counter]``.
+        ``work[counter]``.  Returns s by its eigendecomposition
+        (``HermCalculus.eig``), which every step length along it reuses.
 
         The traceless constraint restricts the step to determinant-preserving
         moves, where every solution lives (det f = 1); the pointwise-trace
@@ -254,43 +266,34 @@ class ContinuationProblem:
         term and produces useless giant Newton directions near scale
         degeneracy.
 
-        The solve is matrix-free: lgmres on the analytic matvec,
+        The solve is matrix-free: ``krylov.lgmres`` on the analytic matvec,
         preconditioned by the FFT inverse of the principal symbol plus eps.
         At eps = 0 the symbol vanishes on the mean mode, which
         ``AffineTorus.fft_divide`` passes unchanged; on a polystable bundle
         the operator is singular along the commutant there, and a
         preconditioner that amplified that mode would throw the step off the
-        solution path.  Raises LinearSolveStagnation when the relative
-        residual stays above 0.9.
+        solution path.  Raises LinearSolveStagnation when the true relative
+        residual that lgmres returns stays above 0.9.
         """
         r, sqf, eps, work = self.rank, lin.sqrt_f, lin.eps, self.work
         work[counter] += 1
         b = self._traceless(-L).ravel()
         bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros(L.shape, dtype=complex)
 
-        A = self.torus.operator(lambda v: self._traceless(
-            self.linearize_residual(lin, pmul(sqf, self._traceless(v), sqf))), (r, r))
-
-        def counted(v):
+        def matvec(s):
             work["krylov_matvecs"] += 1
-            return A.matvec(v)
-        M = self.torus.operator(
-            lambda v: self.torus.fft_divide(v, self._symbol + eps), (r, r))
+            phi = pmul(sqf, self._traceless(s), sqf)
+            return self._traceless(self.linearize_residual(lin, phi))
+        A = self.torus.raveled(matvec, (r, r))
+        M = self.torus.raveled(lambda v: self.torus.fft_divide(v, self._symbol + eps), (r, r))
         with np.errstate(over="ignore", invalid="ignore"):
-            x, info = spla.lgmres(
-                spla.LinearOperator(A.shape, matvec=counted, dtype=complex), b,
-                M=M, rtol=eta, atol=eta * bnorm, maxiter=60, inner_m=30)
-            res = np.inf
-            if np.isfinite(x).all():
-                res = np.linalg.norm(A.matvec(x) - b) / bnorm
+            x, info, rnorm = krylov.lgmres(A, b, M, rtol=eta, atol=eta * bnorm, maxiter=60)
         work["lgmres_unconverged"] += info != 0
-        if not res <= 0.9:
+        if not rnorm <= 0.9 * bnorm:
             raise LinearSolveStagnation(
-                f"Newton linear solve stagnated (relative residual {res:.2e})"
+                f"Newton linear solve stagnated (relative residual {rnorm / bnorm:.2e})"
             )
-        return self._traceless(self.calc0.hermitize(x.reshape(L.shape)))
+        return self.calc0.eig(self._traceless(self.calc0.hermitize(x.reshape(L.shape))))
 
     def renormalize_det(self, f: np.ndarray) -> np.ndarray:
         """Pointwise rescale to det f = 1 (exact projection onto the
@@ -305,33 +308,36 @@ class ContinuationProblem:
         scale = np.exp(-logdet.real / self.rank)
         return f * scale[..., None, None]
 
-    def update(self, lin: Linearization, s: np.ndarray, step: float = 1.0) -> np.ndarray:
-        """f -> f^{1/2} exp(step s) f^{1/2} at the f frozen in ``lin``; stays
-        Hermitian positive."""
-        return self.calc0.hermitize(pmul(lin.sqrt_f, self.calc0.exp(step * s), lin.sqrt_f))
+    def update(self, lin: Linearization, s: tuple[np.ndarray, np.ndarray],
+               step: float = 1.0) -> np.ndarray:
+        """f -> f^{1/2} exp(step s) f^{1/2} at the f frozen in ``lin``, for s
+        given by its eigendecomposition; stays Hermitian positive."""
+        w, U = s
+        # clip keeps a wild Newton trial finite; the line search rejects it
+        exp_s = self.calc0.from_eig(U, np.exp(np.minimum(step * w, 500.0)))
+        return self.calc0.hermitize(pmul(lin.sqrt_f, exp_s, lin.sqrt_f))
 
-    def tangent(self, f: np.ndarray, eps: float) -> tuple[Linearization, np.ndarray]:
-        """DL_eps frozen at a solution f of L_eps = 0, and the path's tangent
-        sdot in t = log eps: DL_eps(f)[f^{1/2} sdot f^{1/2}] = -eps log f,
-        solved to ETA_MAX (zero if that stagnates; Allgower & Georg, ch. 2)."""
-        lin = self.linearization(f, eps)
+    def tangent(self, at: Evaluation) -> tuple[Linearization, tuple[np.ndarray, np.ndarray]]:
+        """DL_eps frozen at an evaluated solution f of L_eps = 0, and the
+        path's tangent sdot in t = log eps: DL_eps(f)[f^{1/2} sdot f^{1/2}] =
+        -eps log f, solved to ETA_MAX (zero if that stagnates; Allgower &
+        Georg, ch. 2)."""
+        lin = self.linearization(at)
         try:
             return lin, self.solve_newton_direction(
-                lin, eps * self.calc0.log(f), ETA_MAX, "tangent_solves")
+                lin, at.eps * at.logf, ETA_MAX, "tangent_solves")
         except LinearSolveStagnation:
-            return lin, np.zeros_like(lin.finv)
+            return lin, self.calc0.eig(np.zeros_like(lin.finv))
 
 
 @dataclass
 class ContinuationState:
-    epsilon: float
-    f: np.ndarray
-    residual: float
+    at: Evaluation            # the current f, evaluated at its eps
     m: float
     det_defect: float
+    entry_residual: float
     history: list = field(default_factory=list)
     converged: bool = False
-    entry_residual: float = 0.0
 
 
 @dataclass
@@ -382,51 +388,52 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
     Wright 2006, ch. 3).  A trial that is not finite, or numerically singular,
     is rejected.  Trials are counted in ``work["line_search_trials"]``.
     """
-    f = problem.calc0.hermitize(np.asarray(f_init, dtype=complex))
-    res = problem.res_norm(f, eps)
-    L = problem.last_residual
-    state = ContinuationState(eps, f, res, *problem.m_and_det_defect(f), entry_residual=res)
+    at = problem.res_norm(problem.calc0.hermitize(np.asarray(f_init, dtype=complex)), eps)
+    state = ContinuationState(at, *problem.m_and_det_defect(at.w, at.logf),
+                              entry_residual=at.res)
     hard_floor = 1e-14 * max(1.0, float(np.abs(problem.K0).max()))
     tol_eff = max(tol, hard_floor)
     if rel_target is not None:
-        tol_eff = max(min(tol_eff, rel_target * res), hard_floor)
+        tol_eff = max(min(tol_eff, rel_target * at.res), hard_floor)
     for _ in range(MAX_NEWTON):
-        if res <= tol_eff:
+        if at.res <= tol_eff:
             break
         if m_max is not None and state.m >= m_max:
             return state
-        lin = problem.linearization(f, eps)
+        lin = problem.linearization(at)
         try:
-            s = problem.solve_newton_direction(lin, L, forcing_term(tol_eff, res))
+            s = problem.solve_newton_direction(lin, at.L, forcing_term(tol_eff, at.res))
         except LinearSolveStagnation as exc:
             raise Diverged(f"Newton at eps={eps:.3e}: {exc}") from exc
         best = None
         for k in range(9):
             problem.work["line_search_trials"] += 1
-            f_try = problem.renormalize_det(problem.update(lin, s, 0.5**k))
+            # a wild trial may overflow; it is rejected before its evaluation
+            with np.errstate(over="ignore", invalid="ignore"):
+                f_try = problem.renormalize_det(problem.update(lin, s, 0.5**k))
+            if not np.isfinite(f_try).all():
+                continue
             try:
-                res_try = problem.res_norm(f_try, eps)
+                trial = problem.res_norm(f_try, eps)
             except np.linalg.LinAlgError:  # a numerically singular trial
                 continue
-            if not np.isfinite(res_try):
+            if not np.isfinite(trial.res):
                 continue
-            if best is not None and best[1] < res and res_try >= best[1]:
+            if best is not None and best.res < at.res and trial.res >= best.res:
                 break  # shortening the step has stopped helping
-            if best is None or res_try < best[1]:
-                best = (f_try, res_try, problem.last_residual)
-            if res_try < 0.3 * res:
+            if best is None or trial.res < best.res:
+                best = trial
+            if trial.res < 0.3 * at.res:
                 break
-        accepted = best is not None and best[1] < max(res * (1.0 - 1e-4), tol_eff)
+        accepted = best is not None and best.res < max(at.res * (1.0 - 1e-4), tol_eff)
         if accepted:
-            f, res, L = best
-            state.f = f
-            state.residual = res
-            state.m, state.det_defect = problem.m_and_det_defect(f)
-        state.history.append((eps, res, state.m, state.det_defect))
+            at = state.at = best
+            state.m, state.det_defect = problem.m_and_det_defect(at.w, at.logf)
+        state.history.append((eps, at.res, state.m, state.det_defect))
         if not accepted:
             break
-    if res > STALL_ACCEPT * tol_eff:
-        raise Diverged(f"Newton at eps={eps:.3e} stalled at residual {res:.3e}")
+    if at.res > STALL_ACCEPT * tol_eff:
+        raise Diverged(f"Newton at eps={eps:.3e} stalled at residual {at.res:.3e}")
     state.converged = True
     return state
 
@@ -482,7 +489,8 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     def predict() -> np.ndarray:
         _, f0, lin, sdot = good
         f_pred = problem.renormalize_det(problem.update(lin, sdot, np.log(cut)))
-        return f_pred if problem.m_and_det_defect(f_pred)[0] < m_max else f0
+        w, _, logf = problem.spectrum(f_pred)
+        return f_pred if problem.m_and_det_defect(w, logf)[0] < m_max else f0
 
     for steps in range(1, max_steps + 1):
         try:
@@ -498,9 +506,9 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
             retried = True
             eps, f = good[0] * cut, predict()
             continue
-        history.append((st.epsilon, st.residual, st.m, st.det_defect))
+        history.append((st.at.eps, st.at.res, st.m, st.det_defect))
         if st.m >= m_max:
-            return stop("blowup", st.f, eps_at_blowup=st.epsilon, m_at_blowup=st.m)
+            return stop("blowup", st.at.f, eps_at_blowup=st.at.eps, m_at_blowup=st.m)
         theta = st.history[0][1] / st.entry_residual if st.history else 0.0
         grow = 1.0 if retried else 2.0  # a retry does not grow the cut
         ratio = float(np.clip(np.sqrt(THETA_TARGET / max(theta, 1e-12)), 0.5, grow))
@@ -510,22 +518,22 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
         if eps <= eps_min and steps - tried_zero_at >= 8:
             tried_zero_at = steps
             try:
-                st0 = newton_solve(problem, 0.0, st.f, tol=newton_tol, m_max=m_max)
+                st0 = newton_solve(problem, 0.0, st.at.f, tol=newton_tol, m_max=m_max)
             except Diverged:
                 pass
             else:
-                history.append((st0.epsilon, st0.residual, st0.m, st0.det_defect))
-                f_next = st0.f  # keep: for semistable bundles this pushes m up
+                history.append((st0.at.eps, st0.at.res, st0.m, st0.det_defect))
+                f_next = st0.at.f  # keep: for semistable bundles this pushes m up
                 if st0.m >= m_max:
-                    return stop("blowup", st0.f, eps_at_blowup=st0.epsilon,
+                    return stop("blowup", st0.at.f, eps_at_blowup=st0.at.eps,
                                 m_at_blowup=st0.m)
                 # m-drift test; st0 is converged, as only m >= m_max returns unconverged
                 if st0.m - st.m <= 0.5 and st0.m <= 0.5 * m_max:
-                    Hfin = hermitize(H0 @ st0.f)
+                    Hfin = hermitize(H0 @ st0.at.f)
                     Kdef = _K_defect(gG, bundle, torus, Hfin, gamma)
                     return HEResult("converged", Hfin, gamma, Kdef, None, history,
                                     H0, norm_diag | problem.work)
-        good = (eps, st.f, *problem.tangent(st.f, eps))
+        good = (eps, st.at.f, *problem.tangent(st.at))
         eps *= cut
         f = predict() if f_next is None else f_next
     return stop("max-iters", message="step budget exhausted")

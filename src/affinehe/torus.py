@@ -131,14 +131,17 @@ class AffineTorus:
         symbol = symbol.reshape(symbol.shape + (1,) * (np.ndim(values) - self.dim))
         return np.fft.ifftn(np.fft.fftn(values, axes=axes) / symbol, axes=axes)
 
-    def operator(self, fn, value_shape: tuple[int, ...] = ()) -> spla.LinearOperator:
-        """A linear map of grid fields with trailing ``value_shape`` axes as
-        a LinearOperator on raveled vectors."""
+    def raveled(self, fn, value_shape: tuple[int, ...] = ()):
+        """A map of grid fields with trailing ``value_shape`` axes as a map
+        of raveled vectors."""
         shape = self.grid_shape + tuple(value_shape)
-        size = int(np.prod(shape))
-        return spla.LinearOperator(
-            (size, size), dtype=complex,
-            matvec=lambda v: fn(v.reshape(shape)).ravel())
+        return lambda v: fn(v.reshape(shape)).ravel()
+
+    def operator(self, fn) -> spla.LinearOperator:
+        """A linear map of scalar grid fields as a LinearOperator on raveled
+        vectors."""
+        n = self.n_points
+        return spla.LinearOperator((n, n), dtype=complex, matvec=self.raveled(fn))
 
 
 def random_smooth_scalar(torus, rng, modes: int = 3, amplitude: float = 1.0,

@@ -10,8 +10,8 @@ from affinehe.bundle import pmul
 def d_fL(prob, f, phi, eps):
     """phi L_eps(f) + f DL_eps(f)[phi], with DL_eps from
     ``ContinuationProblem.linearize_residual``."""
-    lin = prob.linearization(f, eps)
-    return pmul(phi, prob.residual(f, eps)) + pmul(f, prob.linearize_residual(lin, phi))
+    lin = prob.linearization(prob.res_norm(f, eps))
+    return pmul(phi, prob.res_norm(f, eps).L) + pmul(f, prob.linearize_residual(lin, phi))
 
 
 def d_fL_fd(prob, f, phi, eps, t_rel=1e-6):
@@ -20,5 +20,5 @@ def d_fL_fd(prob, f, phi, eps, t_rel=1e-6):
     t = t_rel * max(np.abs(f).max(), 1e-30) / max(np.abs(phi).max(), 1e-30)
 
     def fL(g):
-        return pmul(g, prob.residual(g, eps))
+        return pmul(g, prob.res_norm(g, eps).L)
     return (fL(f + t * phi) - fL(f - t * phi)) / (2.0 * t)

@@ -429,7 +429,7 @@ def test_metric_change_identity(t64, rng):
     K0 = mean_curvature(g, b, t64, H0)
     K1 = mean_curvature(g, b, t64, H0 @ f)
     prob = ContinuationProblem(b, t64, H0, g, 0.0)
-    change = prob.curvature_change(f)
+    change = prob.res_norm(f, 0.0).L - prob.K0_shift
     assert np.abs((K1 - K0) - change).max() < 1e-9
 
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +15,7 @@ from affinehe.bundle import (
     pmul,
     random_hermitian_metric,
 )
+from affinehe import krylov
 from affinehe.continuation import ContinuationProblem
 from affinehe.errors import LinearSolveStagnation, ValidationError
 from affinehe.forms import (
@@ -104,20 +104,20 @@ def test_end_derivatives_match_matmul_reference(r, rng):
     def dlog_ref(Phi):
         return isq @ U @ ((dag(U) @ sq @ Phi @ isq @ U) * ratio) @ dag(U) @ sq
 
-    close(calc.dlog(f)(V), dlog_ref(V))
+    close(calc.dlog(*calc.eig(f))(V), dlog_ref(V))
 
     # the Krylov operator of one Newton direction solve at eps = 1/2
     g = MetricField(t, np.eye(3))
     prob = ContinuationProblem(b, t, H, g, 0.0)
-    lin = prob.linearization(f, 0.5)
+    lin = prob.linearization(prob.res_norm(f, 0.5))
     captured = {}
 
-    def capture(A, rhs, **kwargs):
-        captured["A"] = A
-        return np.zeros_like(rhs), 0
+    def capture(matvec, rhs, psolve, **kwargs):
+        captured["A"] = matvec
+        return np.zeros_like(rhs), 0, np.linalg.norm(rhs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spla, "lgmres", capture)
+        mp.setattr(krylov, "lgmres", capture)
         with pytest.raises(LinearSolveStagnation):
             prob.solve_newton_direction(lin, V, 1e-8)
     finv = np.linalg.inv(f)
@@ -135,7 +135,7 @@ def test_end_derivatives_match_matmul_reference(r, rng):
         out = trace_g(g, end_delbar(Form(t, 1, 0, a, b))) + 0.5 * dlog_ref(phi)
         return traceless(out)
 
-    close(captured["A"].matvec(V.ravel()).reshape(V.shape), matvec_ref(V))
+    close(captured["A"](V.ravel()).reshape(V.shape), matvec_ref(V))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])

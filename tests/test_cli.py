@@ -197,7 +197,7 @@ dir = {out}
     rep = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert rep["status"] == "blowup"
     assert (rep["line_search_trials"], rep["newton_directions"]) == (56, 33)
-    assert rep["m_at_blowup"] == pytest.approx(25.631830764240554, rel=1e-12)
+    assert rep["m_at_blowup"] == pytest.approx(25.631830713105415, rel=1e-12)
 
 
 def test_cli_unipotent_conformal_sin_blows_up(tmp_path):
@@ -333,6 +333,44 @@ def test_cli_grid_override(tmp_path):
     # the final metric dump reflects the overridden grid
     head = (tmp_path / "out" / "final_metric.txt").read_text().splitlines()[0]
     assert head.split()[:2] == ["1", "16"]
+
+
+def test_cli_solve_converged_above_k_defect_tolerance_fails(tmp_path, capsys):
+    # the he_polystable_t1 config with newton_tol = 1e-4: the run converges,
+    # but its K_defect (about 5e-5) is above the reported tolerance 1e-6, so
+    # the solve exits 2 and says both numbers
+    cfg = """
+[torus]
+dim = 1
+resolution = 32
+
+[metric]
+type = constant
+matrix = 1.0
+
+[bundle]
+rank = 2
+monodromy1 = 2 0 0 3
+
+[perturbation]
+amplitude = 0.1
+modes = 1
+
+[solver]
+newton_tol = 1e-4
+
+[output]
+dir = {out}
+seed = 0
+"""
+    p = write(tmp_path / "c.ini", cfg.format(out=tmp_path / "out"))
+    assert main(["solve", "--config", p, "--quiet"]) == 2
+    rep = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert rep["status"] == "converged"
+    kdef, ktol = rep["K_defect"]["value"], rep["K_defect"]["tolerance"]
+    assert ktol == 1e-6 < kdef
+    err = capsys.readouterr().err
+    assert f"K_defect {kdef:.3e}" in err and f"tolerance {ktol:.1e}" in err
 
 
 def test_cli_solve_failure_reports_its_cause(tmp_path, capsys):

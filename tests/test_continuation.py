@@ -1,8 +1,9 @@
 """Continuity method: normalization, residual, linearization, Newton, runs."""
 
+import warnings
+
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from derivatives import d_fL, d_fL_fd
 
 from affinehe.bundle import (
@@ -12,6 +13,7 @@ from affinehe.bundle import (
     random_hermitian_metric,
 )
 import affinehe.continuation as continuation
+from affinehe import krylov
 from affinehe.continuation import (
     CUT_MIN,
     DEFAULT_FACTOR,
@@ -102,8 +104,9 @@ def test_normalize_rank1_sin_oracle(t64, gI):
     # f1 positive
     assert f1[..., 0, 0].real.min() > 0
     prob = ContinuationProblem(b, t64, H0, gI, 0.0)
-    assert prob.m_and_det_defect(f1)[1] <= 1e-6
-    assert prob.res_norm(f1, 1.0) <= 1e-6
+    at = prob.res_norm(f1, 1.0)
+    assert prob.m_and_det_defect(at.w, at.logf)[1] <= 1e-6
+    assert at.res <= 1e-6
     # the normalized h1 = e^rho h0' is the flat metric up to scale
     H1 = H0 @ f1
     vals = H1[..., 0, 0].real
@@ -126,7 +129,7 @@ def test_residual_trivial_zero(t64, gI):
     b = build_bundle([np.array([[1.0]])])
     prob = ContinuationProblem(b, t64, canonical_metric(b, t64), gI, 0.0)
     f = canonical_metric(b, t64)
-    assert prob.res_norm(f, 0.7) < 1e-14
+    assert prob.res_norm(f, 0.7).res < 1e-14
 
 
 def test_residual_constant_scalar_exact(t64, gI):
@@ -135,7 +138,7 @@ def test_residual_constant_scalar_exact(t64, gI):
     prob = ContinuationProblem(b, t64, canonical_metric(b, t64), gI, 0.0)
     c = 0.37
     f = np.broadcast_to(np.exp(c) * np.eye(2, dtype=complex), (64, 2, 2)).copy()
-    L = prob.residual(f, 0.25)
+    L = prob.res_norm(f, 0.25).L
     assert np.abs(L - 0.25 * c * np.eye(2)).max() < 1e-13
 
 
@@ -147,7 +150,7 @@ def test_residual_scalar_reduction_oracle(t64, gI, rng):
     v = random_smooth_scalar(t64, rng, real=True).real
     f = np.exp(-v)[..., None, None].astype(complex)
     for eps in (1.0, 0.3, 0.0):
-        L = prob.residual(f, eps)
+        L = prob.res_norm(f, eps).L
         oracle = 0.25 * spectral_second_derivative(v, 64) - eps * v
         assert np.abs(L[..., 0, 0] - oracle).max() < 1e-10
 
@@ -157,7 +160,7 @@ def test_residual_hat_hermitian(t64, gI, rng):
     H0, f1, _ = normalize_background(
         b, t64, random_hermitian_metric(b, t64, rng, amplitude=0.1, modes=1), gI)
     prob = ContinuationProblem(b, t64, H0, gI, 0.0)
-    Lhat = f1 @ prob.residual(f1, 0.5)
+    Lhat = f1 @ prob.res_norm(f1, 0.5).L
     assert prob.calc0.herm_defect(Lhat) < 1e-6
 
 
@@ -226,9 +229,9 @@ def test_linearize_fd_vs_analytic_grid(dim, backend, r, eps):
 
 
 def test_newton_direction_freezes_linearization(monkeypatch):
-    # the blowup_t2 benchmark input: every lgmres matvec is one
-    # linearize_residual call, and a direction's eigendecompositions do not
-    # grow with its matvecs
+    # the blowup_t2 benchmark input: every linearize_residual call is one
+    # lgmres matvec (no matvec on x = 0, no check matvec after lgmres), and a
+    # direction's eigendecompositions do not grow with its matvecs
     t = AffineTorus(2, 16)
     g = MetricField(t, np.eye(2))
     b = build_bundle([UNIPOTENT, np.eye(2)])
@@ -244,28 +247,58 @@ def test_newton_direction_freezes_linearization(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    lgmres = spla.lgmres
+    lgmres = krylov.lgmres
 
-    def counting_lgmres(A, rhs, **kwargs):
-        op = spla.LinearOperator(A.shape, dtype=A.dtype,
-                                 matvec=counting("matvec", A.matvec))
-        return lgmres(op, rhs, **kwargs)
+    def counting_lgmres(matvec, rhs, psolve, **kwargs):
+        return lgmres(counting("matvec", matvec), rhs, psolve, **kwargs)
 
     monkeypatch.setattr(HermCalculus, "eig", counting("eig", HermCalculus.eig))
     monkeypatch.setattr(ContinuationProblem, "linearize_residual",
                         counting("linearize", ContinuationProblem.linearize_residual))
-    monkeypatch.setattr(spla, "lgmres", counting_lgmres)
+    monkeypatch.setattr(krylov, "lgmres", counting_lgmres)
     per_solve = []
     for f in (f1, far):
-        L = prob.residual(f, 0.5)
+        at = prob.res_norm(f, 0.5)
         counts.update(eig=0, linearize=0, matvec=0)
-        prob.solve_newton_direction(prob.linearization(f, 0.5), L, 1e-8)
+        prob.solve_newton_direction(prob.linearization(at), at.L, 1e-8)
         per_solve.append(dict(counts))
     for c in per_solve:
-        # one more for the relative-residual check after lgmres
-        assert c["linearize"] == c["matvec"] + 1
+        assert c["linearize"] == c["matvec"]
     assert per_solve[0]["matvec"] < per_solve[1]["matvec"]
     assert per_solve[0]["eig"] == per_solve[1]["eig"]
+
+
+def test_newton_step_diagonalizes_each_state_once(monkeypatch):
+    # the blowup_t2 input off the path: a Newton step makes one
+    # eigendecomposition per line-search trial (in res_norm) and one for its
+    # direction s, and freezing DL at an evaluated state makes no
+    # eigendecomposition, inverse or del_0 of f
+    t = AffineTorus(2, 16)
+    g = MetricField(t, np.eye(2))
+    b = build_bundle([UNIPOTENT, np.eye(2)])
+    H0, f1, diag = normalize_background(b, t, canonical_metric(b, t), g)
+    prob = ContinuationProblem(b, t, H0, g, diag["gamma"])
+    counts = dict(eig=0, inv=0, del0=0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(HermCalculus, "eig", counting("eig", HermCalculus.eig))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    monkeypatch.setattr(continuation, "covariant_del0",
+                        counting("del0", continuation.covariant_del0))
+    at = prob.res_norm(f1, 0.5)
+    assert counts == dict(eig=1, inv=1, del0=1)
+    prob.linearization(at)
+    assert counts == dict(eig=1, inv=1, del0=1)
+    counts.update(eig=0)
+    st = newton_solve(prob, 0.5, f1)
+    work = prob.work
+    assert st.converged and work["newton_directions"] >= 2
+    assert counts["eig"] == 1 + work["line_search_trials"] + work["newton_directions"]
 
 
 def test_newton_direction_stops_at_its_forcing_term(monkeypatch):
@@ -279,29 +312,30 @@ def test_newton_direction_stops_at_its_forcing_term(monkeypatch):
     far = prob.renormalize_det(prob.calc0.from_hermitian(random_hermitian_metric(
         b, t, np.random.default_rng(0), amplitude=0.3, modes=1)))
     solves = []
-    lgmres = spla.lgmres
+    lgmres = krylov.lgmres
 
-    def recording_lgmres(A, rhs, **kwargs):
-        x, info = lgmres(A, rhs, **kwargs)
-        solves.append((A, rhs, x, info))
-        return x, info
+    def recording_lgmres(matvec, rhs, psolve, **kwargs):
+        x, info, rnorm = lgmres(matvec, rhs, psolve, **kwargs)
+        solves.append((matvec, rhs, x, info))
+        return x, info, rnorm
 
-    monkeypatch.setattr(spla, "lgmres", recording_lgmres)
-    lin, L = prob.linearization(far, 0.5), prob.residual(far, 0.5)
+    monkeypatch.setattr(krylov, "lgmres", recording_lgmres)
+    at = prob.res_norm(far, 0.5)
+    lin, L = prob.linearization(at), at.L
     matvecs = {}
     for eta in (1e-2, 1e-8):
         before = prob.work["krylov_matvecs"]
         prob.solve_newton_direction(lin, L, eta)
         matvecs[eta] = prob.work["krylov_matvecs"] - before
-        A, rhs, x, info = solves[-1]
+        matvec, rhs, x, info = solves[-1]
         assert info == 0
-        assert np.linalg.norm(A.matvec(x) - rhs) <= eta * np.linalg.norm(rhs)
+        assert np.linalg.norm(matvec(x) - rhs) <= eta * np.linalg.norm(rhs)
     assert matvecs[1e-2] < matvecs[1e-8]
     assert prob.work["newton_directions"] == 2
     assert prob.work["lgmres_unconverged"] == 0
     # one outer lgmres cycle returns info = 1, which is counted
-    monkeypatch.setattr(spla, "lgmres", lambda A, rhs, **kwargs: recording_lgmres(
-        A, rhs, **(kwargs | {"maxiter": 1})))
+    monkeypatch.setattr(krylov, "lgmres", lambda matvec, rhs, psolve, **kwargs: (
+        recording_lgmres(matvec, rhs, psolve, **(kwargs | {"maxiter": 1}))))
     prob.solve_newton_direction(lin, L, 1e-8)
     assert solves[-1][3] == 1
     assert prob.work["lgmres_unconverged"] == 1
@@ -371,14 +405,14 @@ def test_newton_accepts_stall_within_stall_accept(polystable_t1):
     st = newton_solve(prob, 1.0, f1, rel_target=0.03)
     assert st.converged
     # one rejected line search: f and its residual are the entry ones
-    assert np.array_equal(st.f, prob.calc0.hermitize(f1))
-    assert st.history == [(1.0, st.residual, st.m, st.det_defect)]
+    assert np.array_equal(st.at.f, prob.calc0.hermitize(f1))
+    assert st.history == [(1.0, st.at.res, st.m, st.det_defect)]
     # the entry residual, above the rel_target tolerance of newton_solve but
     # within STALL_ACCEPT of it
-    assert st.residual == prob.res_norm(prob.calc0.hermitize(f1), 1.0)
+    assert st.at.res == prob.res_norm(prob.calc0.hermitize(f1), 1.0).res
     hard_floor = 1e-14 * max(1.0, float(np.abs(prob.K0).max()))
-    tol_eff = max(min(max(1e-8, hard_floor), 0.03 * st.residual), hard_floor)
-    assert tol_eff < st.residual <= STALL_ACCEPT * tol_eff
+    tol_eff = max(min(max(1e-8, hard_floor), 0.03 * st.at.res), hard_floor)
+    assert tol_eff < st.at.res <= STALL_ACCEPT * tol_eff
 
 
 def test_newton_solve_passes_its_forcing_term(polystable_t1, monkeypatch):
@@ -435,7 +469,7 @@ def test_line_search_picks_the_exhaustive_best(case, request, monkeypatch):
     def searching(self, lin, L, eta):
         s = solve(self, lin, L, eta)
         trials = [self.renormalize_det(self.update(lin, s, 0.5**k)) for k in range(9)]
-        res = [self.calc0.sup_norm(self.residual(f, lin.eps)) for f in trials]
+        res = [self.res_norm(f, lin.eps).res for f in trials]
         searches.append((self.calc0.sup_norm(L), trials[int(np.argmin(res))], min(res)))
         return s
 
@@ -450,7 +484,7 @@ def test_line_search_picks_the_exhaustive_best(case, request, monkeypatch):
         assert st.history[i][1] == res_best
         if i + 1 < len(searches):
             assert searches[i + 1][0] == res_best
-    assert np.array_equal(st.f, searches[-1][1])
+    assert np.array_equal(st.at.f, searches[-1][1])
 
 
 def test_line_search_rejects_a_singular_trial(polystable_t1, monkeypatch):
@@ -477,7 +511,34 @@ def test_line_search_rejects_a_singular_trial(polystable_t1, monkeypatch):
     st = newton_solve(prob, 0.5, f1)
     assert st.converged
     assert [step for step, _ in seen[:3]] == [None, 1.0, 0.5]
-    assert st.history[0][1] == seen[2][1] < seen[0][1]
+    assert st.history[0][1] == seen[2][1].res < seen[0][1].res
+
+
+def test_line_search_rejects_an_overflowing_trial(polystable_t1, monkeypatch):
+    # a trial whose update overflows is rejected before its residual is
+    # evaluated, and the overflow raises no RuntimeWarning: with the first
+    # full step overflowing, newton_solve takes the half step
+    prob, f1 = polystable_t1
+    update, res_norm = ContinuationProblem.update, ContinuationProblem.res_norm
+    steps, evaluated = [], []
+
+    def overflowing_first_step(self, lin, s, step=1.0):
+        steps.append(step)
+        f = update(self, lin, s, step)
+        return f * np.float64(1e300) * np.float64(1e300) if len(steps) == 1 else f
+
+    def recording_res_norm(self, f, eps):
+        evaluated.append(steps[-1] if steps else None)
+        return res_norm(self, f, eps)
+
+    monkeypatch.setattr(ContinuationProblem, "update", overflowing_first_step)
+    monkeypatch.setattr(ContinuationProblem, "res_norm", recording_res_norm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        st = newton_solve(prob, 0.5, f1)
+    assert st.converged
+    assert steps[:2] == [1.0, 0.5]
+    assert evaluated[:2] == [None, 0.5]
 
 
 def test_newton_stall_beyond_stall_accept_diverges(polystable_t1):
@@ -588,7 +649,7 @@ def test_run_reports_its_krylov_work(monkeypatch):
     # (one is injected)
     counts = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
                   lgmres_unconverged=0, eps_backtracks=0, line_search_trials=0)
-    lgmres = spla.lgmres
+    lgmres = krylov.lgmres
     solve = ContinuationProblem.solve_newton_direction
     update = ContinuationProblem.update
     inside = []
@@ -615,22 +676,21 @@ def test_run_reports_its_krylov_work(monkeypatch):
         counts["line_search_trials"] += inside == ["newton"]
         return update(self, *args)
 
-    def counting_lgmres(A, rhs, **kwargs):
+    def counting_lgmres(matvec, rhs, psolve, **kwargs):
         if "krylov" not in inside:
-            return lgmres(A, rhs, **kwargs)
+            return lgmres(matvec, rhs, psolve, **kwargs)
 
-        def matvec(v):
+        def counted(v):
             counts["krylov_matvecs"] += 1
-            return A.matvec(v)
-        x, info = lgmres(spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype),
-                         rhs, **kwargs)
+            return matvec(v)
+        x, info, rnorm = lgmres(counted, rhs, psolve, **kwargs)
         counts["lgmres_unconverged"] += info != 0
-        return x, info
+        return x, info, rnorm
 
     monkeypatch.setattr(continuation, "newton_solve", counting_newton)
     monkeypatch.setattr(ContinuationProblem, "solve_newton_direction", counting_solve)
     monkeypatch.setattr(ContinuationProblem, "update", counting_update)
-    monkeypatch.setattr(spla, "lgmres", counting_lgmres)
+    monkeypatch.setattr(krylov, "lgmres", counting_lgmres)
     t = AffineTorus(1, 32)
     g = MetricField(t, np.eye(1))
     b = build_bundle([np.diag([2.0, 3.0])])
@@ -653,13 +713,13 @@ def test_tangent_predictor_is_second_order():
     b = build_bundle([UNIPOTENT, np.eye(2)])
     H0, f1, diag = normalize_background(b, t, canonical_metric(b, t), g)
     prob = ContinuationProblem(b, t, H0, g, diag["gamma"])
-    lin, sdot = prob.tangent(f1, 1.0)
+    lin, sdot = prob.tangent(prob.res_norm(f1, 1.0))
     assert prob.work["tangent_solves"] == 1 and prob.work["newton_directions"] == 0
     predicted = {}
     for dt in (-0.2, -0.1):
         f_pred = prob.renormalize_det(prob.update(lin, sdot, dt))
-        predicted[dt] = prob.res_norm(f_pred, np.exp(dt))
-        assert predicted[dt] < 0.1 * prob.res_norm(f1, np.exp(dt))
+        predicted[dt] = prob.res_norm(f_pred, np.exp(dt)).res
+        assert predicted[dt] < 0.1 * prob.res_norm(f1, np.exp(dt)).res
     assert 3.0 < predicted[-0.2] / predicted[-0.1] < 5.0
 
 
@@ -726,13 +786,14 @@ def test_conjugated_unipotent_blows_up_to_P_e1():
     # line that the enumeration finds for the Jordan block.
     t = AffineTorus(2, 16)
     g = MetricField(t, np.eye(2))
-    P = np.eye(2) + 0.5 * np.random.default_rng(0).standard_normal((2, 2))
-    b = build_bundle([P @ UNIPOTENT @ np.linalg.inv(P), np.eye(2)])
-    res = run_continuation(b, t, g)
-    assert res.status == "blowup"
-    F = destabilize(b, t, res.h0, g, res.blowup_data).subbundle.basis
-    v = P[:, :1] / np.linalg.norm(P[:, 0])
-    assert np.linalg.norm(F - v @ (np.conj(v.T) @ F)) < 1e-8
+    for seed in (0, 4):
+        P = np.eye(2) + 0.5 * np.random.default_rng(seed).standard_normal((2, 2))
+        b = build_bundle([P @ UNIPOTENT @ np.linalg.inv(P), np.eye(2)])
+        res = run_continuation(b, t, g)
+        assert res.status == "blowup"
+        F = destabilize(b, t, res.h0, g, res.blowup_data).subbundle.basis
+        v = P[:, :1] / np.linalg.norm(P[:, 0])
+        assert np.linalg.norm(F - v @ (np.conj(v.T) @ F)) < 1e-8
 
 
 def test_m_drift_rejects_semistable_eps_zero_probe():
@@ -788,5 +849,6 @@ def test_two_axis_bundle_normalization():
     H0, f1, diag = normalize_background(b, t, h0p, g)
     assert diag["trK_defect"] <= 10 / 24**2
     prob = ContinuationProblem(b, t, H0, g, 0.0)
-    assert prob.res_norm(f1, 1.0) <= 1e-5
-    assert prob.m_and_det_defect(f1)[1] <= 1e-6
+    at = prob.res_norm(f1, 1.0)
+    assert at.res <= 1e-5
+    assert prob.m_and_det_defect(at.w, at.logf)[1] <= 1e-6
