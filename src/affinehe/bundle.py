@@ -382,9 +382,6 @@ class HermCalculus:
         h-self-adjoint field."""
         return np.linalg.eigh(hermitize(pmul(self.sqrt, F, self.isqrt)))
 
-    def eigvals(self, F: np.ndarray) -> np.ndarray:
-        return self.eig(F)[0]
-
     def from_eig(self, U: np.ndarray, fw: np.ndarray) -> np.ndarray:
         """The h-self-adjoint field with h-orthonormal eigenframe U (as
         returned by ``eig``) and eigenvalues fw."""

@@ -75,7 +75,7 @@ def cmd_gauduchon(cfg: RunConfig) -> int:
 
 def cmd_stability(cfg: RunConfig) -> int:
     from .gauduchon import find_gauduchon_factor
-    from .stability import stability_verdict
+    from .stability import INVARIANCE_TOL, stability_verdict
 
     torus, metric, bundle, out = _prepare(cfg)
     gG = find_gauduchon_factor(metric).metric
@@ -91,7 +91,7 @@ def cmd_stability(cfg: RunConfig) -> int:
              "basis": [[z.real, z.imag] for z in F.basis.ravel()],
              "slope": mu,
              "invariance_residual": {"value": F.invariance_residual,
-                                     "tolerance": 1e-10}}
+                                     "tolerance": INVARIANCE_TOL}}
             for F, mu in rep.witnesses
         ],
         "splitting": None if rep.splitting is None else {
@@ -149,10 +149,8 @@ def cmd_solve(cfg: RunConfig) -> int:
                    gauge.end_to_flat(result.blowup_data), "endo")
         dump_field(out / "background_h0.txt", torus,
                    gauge.herm_to_flat(result.h0), "hermitian")
-        code = _destabilize_state(cfg, torus, gG, bundle,
-                                  result.blowup_data, result.h0, out)
-        if code != 0:
-            return code
+        _destabilize_state(cfg, torus, gG, bundle, result.blowup_data,
+                           result.h0, out)
     failure = None
     if result.status == "max-iters":
         payload["message"] = result.diagnostics["message"]
@@ -168,30 +166,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _destabilize_state(cfg, torus, gG, bundle, f_gauge, h0_gauge, out) -> int:
+def _destabilize_state(cfg, torus, gG, bundle, f_gauge, h0_gauge, out):
     from .destabilizer import destabilize
 
     rep = destabilize(bundle, torus, h0_gauge, gG, f_gauge)
-    tolerances = {"projection_defects": 1e-4,
-                  "slope_gap": 10.0 / torus.resolution**2,
-                  "chern_weil": 10.0 / torus.resolution**2}
-    payload = {
-        "rank": rep.rank,
-        "subbundle_basis": [[z.real, z.imag]
-                            for z in rep.subbundle.basis.ravel()],
-        "invariance_residual": {"value": rep.subbundle.invariance_residual,
-                                "tolerance": 1e-10},
-        "projection_defects": {
-            k: {"value": v, "tolerance": tolerances["projection_defects"]}
-            for k, v in rep.projection_defects.items()},
-        "mu_F": {"value": rep.slopes[0], "tolerance": tolerances["slope_gap"]},
-        "mu_E": {"value": rep.slopes[1], "tolerance": tolerances["slope_gap"]},
-        "chern_weil_defect": {"value": rep.chern_weil_defect,
-                              "tolerance": tolerances["chern_weil"]},
-        "sigma_split_counts": rep.sigma_counts,
-    }
-    _report(out / "destabilizer_report.json", payload, cfg.quiet)
-    return 0
+    _report(out / "destabilizer_report.json", rep.summary(), cfg.quiet)
 
 
 def cmd_destabilize(cfg: RunConfig, state_dir: str) -> int:
@@ -211,10 +190,11 @@ def cmd_destabilize(cfg: RunConfig, state_dir: str) -> int:
         return values
 
     gauge = bundle.gauge(torus)
-    return _destabilize_state(cfg, torus, gG, bundle,
-                              gauge.end_to_gauge(load("blowup_f.txt", "endo")),
-                              gauge.herm_to_gauge(load("background_h0.txt", "hermitian")),
-                              out)
+    _destabilize_state(cfg, torus, gG, bundle,
+                       gauge.end_to_gauge(load("blowup_f.txt", "endo")),
+                       gauge.herm_to_gauge(load("background_h0.txt", "hermitian")),
+                       out)
+    return 0
 
 
 def cmd_selftest(cfg: RunConfig) -> int:

@@ -1,17 +1,20 @@
 """Destabilizing flat subbundle extraction from a blown-up continuation state.
 
-Rescales the hot endomorphism by the reciprocal of its largest eigenvalue,
-confirms through a sigma-power schedule that the spectral split is stable,
-thresholds at 1/2 to produce the h_0-orthogonal projection pi onto the
-collapsing directions, flattens it by grid averaging and snapping to the
-nearest monodromy-invariant subspace, and certifies the slope inequality
-mu(F) >= mu(E) together with the Chern-Weil identity
-tr K_F = tr(K_0 pi) - |del_0 pi|^2.
+Without a Hermitian-Einstein metric the rescaled (rho f)^sigma, rho f =
+f / max f, tends weakly to I - pi as sigma -> 0 (Uhlenbeck-Yau).  One spectral
+band decides the split: the eigenvalues of rho f that are >= 2^-4 are kept,
+and every other one must lie below 2^-16, anywhere on the grid, so kept and
+dropped eigenvalues are more than 2^12 apart.  pi, the h_0-orthogonal
+projection onto the dropped (collapsing) eigenvectors, is flattened by grid
+averaging and snapping to the nearest monodromy-invariant subspace F, and
+certified against the tolerances its report names: the slope inequality
+mu(F) >= mu(E), the Chern-Weil identity tr K_F = tr(K_0 pi) - |del_0 pi|^2,
+and the projection defects of pi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +22,21 @@ from .bundle import (
     FlatBundle,
     HermCalculus,
     covariant_del0,
+    end_delbar,
     hermitian_connection,
     mean_curvature,
 )
 from .errors import (
+    InvariantViolation,
     NoNearbyFlatSubbundle,
     NonHPD,
     NoSpectralGap,
     SlopeInequalityViolated,
     ValidationError,
 )
-from .forms import Form, MetricField, dolbeault_delbar
+from .forms import Form, MetricField, dolbeault_delbar, trace_g
 from .stability import (
+    INVARIANCE_TOL,
     FlatSubbundle,
     enumerate_flat_subbundles,
     induced_metric,
@@ -39,75 +45,52 @@ from .stability import (
 )
 from .torus import AffineTorus
 
-THETA_KEEP = 0.5
+KEEP_LOG2 = -4    # eigenvalues of rho f at or above 2^KEEP_LOG2 are kept
+DROP_LOG2 = -16   # every other eigenvalue of rho f must lie below 2^DROP_LOG2
 DEFECT_TOL = 1e-4
 SNAP_TOL = 0.2
-SIGMA_SCHEDULE = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
-def _split_counts(lam: np.ndarray) -> list[int]:
-    """Counts of eigenvalues of rho f with lam^sigma >= THETA_KEEP along
-    SIGMA_SCHEDULE."""
-    return [int((lam**sigma >= THETA_KEEP).sum()) for sigma in SIGMA_SCHEDULE]
+def extract_projection(calc: HermCalculus, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """pi = I - (projection onto the kept eigenvectors of rho f), the
+    h_0-orthogonal projection onto the collapsing directions of a blow-up
+    state, and log2 of the largest dropped eigenvalue of rho f.
 
-
-def sigma_split_counts(calc: HermCalculus, f: np.ndarray) -> list[int]:
-    """Kept-eigenvalue counts of (rho f)^sigma along the sigma schedule;
-    stabilization of the count certifies an unambiguous spectral split."""
-    w = calc.eigvals(f)
-    if w.min() <= 0:
-        raise NonHPD("endomorphism is not positive definite")
-    return _split_counts(np.exp(-float(np.log(w.max()))) * w)
-
-
-def extract_projection(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
-                       f: np.ndarray) -> np.ndarray:
-    """pi = I - (spectral threshold of rho f): projection onto the
-    collapsing directions of a blow-up state.
-
-    The sigma-schedule confirms that the count of eigenvalues above the
-    threshold has stabilized; the one-shot threshold then keeps eigenvectors
-    with eigenvalue >= THETA_KEEP^{1/sigma_last} = 2^-16 of rho f.  Equal
-    counts at sigma = 1/4, 1/8 and 1/16 mean that no eigenvalue of rho f
-    lies in [2^-16, 2^-4) anywhere on the grid, so kept and dropped
-    eigenvalues are more than 2^12 = 4096 apart.
+    ``calc`` is the calculus of h_0.  Raises NoSpectralGap when an eigenvalue
+    of rho f lies in [2^DROP_LOG2, 2^KEEP_LOG2), when the kept multiplicity
+    varies over the grid, or when every eigenvalue is kept.
     """
-    calc = HermCalculus(H0)
     w, U = calc.eig(f)
     if w.min() <= 0:
         raise NonHPD("blow-up endomorphism is not positive definite")
-    M = float(np.log(w.max()))
-    lam = np.exp(-M) * w  # eigenvalues of rho f, in (0, 1]
-
-    counts = _split_counts(lam)
-    if len(set(counts[-3:])) != 1:
+    log2_lam = np.log2(w) - np.log2(w.max())  # eigenvalues of rho f
+    keep = log2_lam >= KEEP_LOG2
+    dropped = log2_lam[~keep]
+    if dropped.size and dropped.max() >= DROP_LOG2:
         raise NoSpectralGap(
-            f"sigma-power split did not stabilize (kept counts {counts})"
+            f"rho f = f / max f has an eigenvalue 2^{dropped.max():.2f} in "
+            f"the band [2^{DROP_LOG2}, 2^{KEEP_LOG2})"
         )
-
-    keep = lam >= THETA_KEEP ** (1.0 / SIGMA_SCHEDULE[-1])
     n_keep = keep.sum(axis=-1)
     if n_keep.min() != n_keep.max():
         raise NoSpectralGap("kept multiplicity varies over the grid")
-    k = int(n_keep[tuple(0 for _ in range(torus.dim))])
-    if k == 0 or k == bundle.rank:
+    if not dropped.size:
         raise NoSpectralGap(
-            f"threshold keeps {k} of {bundle.rank} eigenvalues; no split "
+            f"threshold keeps all {f.shape[-1]} eigenvalues; no split "
             "(the state did not blow up)"
         )
+    pi = np.eye(f.shape[-1]) - calc.from_eig(U, keep.astype(float))
+    return pi, float(dropped.max())
 
-    return np.eye(bundle.rank) - calc.from_eig(U, keep.astype(float))
 
-
-def validate_projection(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
-                        pi: np.ndarray) -> dict:
+def validate_projection(bundle: FlatBundle, torus: AffineTorus,
+                        calc: HermCalculus, pi: np.ndarray) -> dict:
     """Defect norms of a claimed h_0-orthogonal projection onto a flat
     subbundle: pi^2 - pi, pi* - pi, (I-pi) delbar pi, and the flat-frame
     constancy of the image subbundle.
 
-    Pure measurement; nothing is raised.
+    ``calc`` is the calculus of h_0.  Pure measurement; nothing is raised.
     """
-    calc = HermCalculus(H0)
     r = bundle.rank
 
     def supfro(A):
@@ -182,44 +165,54 @@ def flatten_projection(bundle: FlatBundle, torus: AffineTorus,
 
 @dataclass
 class DestabilizerReport:
-    pi: np.ndarray
     subbundle: FlatSubbundle
     projection_defects: dict
     slopes: tuple[float, float]          # (mu_F, mu_E)
     chern_weil_defect: float
-    rank: int = 0
-    slope_tolerance: float = 0.0
-    sigma_counts: list = field(default_factory=list)
+    slope_tolerance: float
+    largest_dropped_log2: float = float("nan")  # set by ``destabilize``
+
+    @property
+    def rank(self) -> int:
+        return self.subbundle.rank
 
     def summary(self) -> dict:
+        """The destabilizer_report.json payload: every measured number with
+        the tolerance it was tested against."""
+        def tested(value, tolerance):
+            return {"value": value, "tolerance": tolerance}
+
+        F, tol = self.subbundle, self.slope_tolerance
         return {
             "rank": self.rank,
-            "mu_F": self.slopes[0],
-            "mu_E": self.slopes[1],
-            "defect_pi2": self.projection_defects["pi2"],
-            "defect_adjoint": self.projection_defects["adjoint"],
-            "defect_delbar": self.projection_defects["delbar"],
-            "defect_flat": self.projection_defects["flat"],
-            "chern_weil_defect": self.chern_weil_defect,
+            "subbundle_basis": [[float(z.real), float(z.imag)]
+                                for z in F.basis.ravel()],
+            "invariance_residual": tested(F.invariance_residual, INVARIANCE_TOL),
+            "projection_defects": {k: tested(v, DEFECT_TOL)
+                                   for k, v in self.projection_defects.items()},
+            "mu_F": tested(self.slopes[0], tol),
+            "mu_E": tested(self.slopes[1], tol),
+            "chern_weil_defect": tested(self.chern_weil_defect, tol),
+            "largest_dropped_log2": tested(self.largest_dropped_log2, DROP_LOG2),
         }
 
 
-def destabilizing_report(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
-                         gG: MetricField, pi: np.ndarray,
+def destabilizing_report(bundle: FlatBundle, torus: AffineTorus,
+                         calc: HermCalculus, gG: MetricField, pi: np.ndarray,
                          F: FlatSubbundle) -> DestabilizerReport:
-    """Certify the extracted subbundle: slope inequality and Chern-Weil.
+    """Certify the extracted subbundle: slope inequality, Chern-Weil and the
+    projection defects of pi.
 
     mu(F) is computed two ways: directly as the slope of F with the induced
     metric, and through tr K_F = tr(K_0 pi) - |del_0 pi|^2 integrated
-    against omega^n/nu.  Raises SlopeInequalityViolated when mu(F) falls
-    below mu(E) beyond tolerance (the theory forbids it).
+    against omega^n/nu.  ``calc`` is the calculus of h_0.  Raises
+    SlopeInequalityViolated when mu(F) falls below mu(E) beyond tolerance
+    (the theory forbids it), and InvariantViolation when the two paths to
+    mu(F) or a projection defect miss their tolerance.
     """
-    n = torus.dim
-    r = bundle.rank
-    s = F.rank
-    if not 0 < s < r:
+    if not 0 < F.rank < bundle.rank:
         raise ValidationError("destabilizing subbundle must be proper")
-    calc = HermCalculus(H0)
+    H0 = calc.H
     tol = 10.0 / torus.resolution**2
 
     mu_E = slope(bundle, torus, H0, gG)
@@ -232,8 +225,8 @@ def destabilizing_report(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
     KF = mean_curvature(gG, sub, torus, HF)
     tr_KF = torus.integrate(np.einsum("...aa->...", KF) * w).real
 
-    K0 = mean_curvature(gG, bundle, torus, H0)
     theta0 = hermitian_connection(bundle, torus, H0)
+    K0 = trace_g(gG, end_delbar(theta0))
     d0pi = covariant_del0(bundle, torus, theta0, pi)
     a_norm2 = calc.form_norm_sq(gG, d0pi)
     tr_formula = torus.integrate(
@@ -246,24 +239,27 @@ def destabilizing_report(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
             f"mu(F) = {mu_F:.3e} < mu(E) = {mu_E:.3e} beyond tolerance "
             f"{tol:.1e}; extraction produced a non-destabilizing subbundle"
         )
-
-    defects = validate_projection(bundle, torus, H0, pi)
-    return DestabilizerReport(
-        pi=pi,
-        subbundle=F,
-        projection_defects=defects,
-        slopes=(mu_F, mu_E),
-        chern_weil_defect=cw_defect,
-        rank=s,
-        slope_tolerance=tol,
-    )
+    if not cw_defect <= tol:
+        raise InvariantViolation(
+            f"Chern-Weil defect {cw_defect:.3e} above its tolerance {tol:.1e}"
+        )
+    defects = validate_projection(bundle, torus, calc, pi)
+    above = {k: v for k, v in defects.items() if not v <= DEFECT_TOL}
+    if above:
+        raise InvariantViolation(
+            f"projection defects {above} above their tolerance {DEFECT_TOL:.0e}"
+        )
+    return DestabilizerReport(subbundle=F, projection_defects=defects,
+                              slopes=(mu_F, mu_E), chern_weil_defect=cw_defect,
+                              slope_tolerance=tol)
 
 
 def destabilize(bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
                 gG: MetricField, f_blowup: np.ndarray) -> DestabilizerReport:
-    """Full pipeline: rescale/threshold, validate, flatten, certify."""
-    pi = extract_projection(bundle, torus, H0, f_blowup)
+    """Full pipeline: rescale/threshold, flatten, certify."""
+    calc = HermCalculus(H0)
+    pi, dropped_log2 = extract_projection(calc, f_blowup)
     F = flatten_projection(bundle, torus, pi)
-    rep = destabilizing_report(bundle, torus, H0, gG, pi, F)
-    rep.sigma_counts = sigma_split_counts(HermCalculus(H0), f_blowup)
+    rep = destabilizing_report(bundle, torus, calc, gG, pi, F)
+    rep.largest_dropped_log2 = dropped_log2
     return rep

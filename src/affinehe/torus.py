@@ -43,7 +43,6 @@ class AffineTorus:
         self.dim = dim
         self.resolution = resolution
         self.backend = backend
-        self.spacing = 1.0 / resolution
         self.grid_shape = (resolution,) * dim
         self.n_points = resolution**dim
         # integer wavenumbers per axis; numpy's ordering, Nyquist = -N/2

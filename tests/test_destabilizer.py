@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from affinehe.bundle import build_bundle, canonical_metric
+from affinehe.bundle import HermCalculus, build_bundle, canonical_metric
 from affinehe.destabilizer import (
     DEFECT_TOL,
+    DROP_LOG2,
     destabilize,
     destabilizing_report,
     extract_projection,
     flatten_projection,
     validate_projection,
 )
-from affinehe.errors import NoNearbyFlatSubbundle, NoSpectralGap
+from affinehe.errors import InvariantViolation, NoNearbyFlatSubbundle, NoSpectralGap
 from affinehe.forms import MetricField
+from affinehe.stability import FlatSubbundle
 from affinehe.torus import AffineTorus
 
 UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -46,7 +50,7 @@ def test_extract_constant_diagonal(t32):
     b = build_bundle([np.eye(2)])
     H0 = canonical_metric(b, t32)
     f = const_field(t32, np.diag([np.exp(20.0), np.exp(-20.0)]))
-    pi = extract_projection(b, t32, H0, f)
+    pi, _ = extract_projection(HermCalculus(H0), f)
     assert np.abs(pi - np.diag([0.0, 1.0])).max() < 1e-12
 
 
@@ -54,7 +58,7 @@ def test_extract_identity_raises(t32):
     b = build_bundle([np.eye(2)])
     H0 = canonical_metric(b, t32)
     with pytest.raises(NoSpectralGap):
-        extract_projection(b, t32, H0, const_field(t32, np.eye(2)))
+        extract_projection(HermCalculus(H0), const_field(t32, np.eye(2)))
 
 
 def test_extract_no_gap_raises(t32):
@@ -62,13 +66,14 @@ def test_extract_no_gap_raises(t32):
     H0 = canonical_metric(b, t32)
     f = const_field(t32, np.diag([1.2, 0.8]))  # eigenvalues too close
     with pytest.raises(NoSpectralGap):
-        extract_projection(b, t32, H0, f)
+        extract_projection(HermCalculus(H0), f)
 
 
 def test_extract_synthetic_unipotent(t32):
     b, H0, f = synthetic_blowup(t32, 12.0)
-    pi = extract_projection(b, t32, H0, f)
-    defects = validate_projection(b, t32, H0, pi)
+    calc = HermCalculus(H0)
+    pi, _ = extract_projection(calc, f)
+    defects = validate_projection(b, t32, calc, pi)
     for name, val in defects.items():
         assert val <= DEFECT_TOL, (name, val)
     # flat-frame pi is the projection onto span(e1) along (x, 1)
@@ -86,7 +91,7 @@ def test_validate_constant_projection_trivial_bundle(t32):
     b = build_bundle([np.eye(2)])
     H0 = canonical_metric(b, t32)
     pi = const_field(t32, np.diag([1.0, 0.0]))
-    defects = validate_projection(b, t32, H0, pi)
+    defects = validate_projection(b, t32, HermCalculus(H0), pi)
     assert all(v < 1e-13 for v in defects.values())
 
 
@@ -94,7 +99,7 @@ def test_validate_reports_non_projection(t32, rng):
     b = build_bundle([np.eye(2)])
     H0 = canonical_metric(b, t32)
     junk = rng.standard_normal((32, 2, 2)) + 0j
-    defects = validate_projection(b, t32, H0, junk)
+    defects = validate_projection(b, t32, HermCalculus(H0), junk)
     assert defects["pi2"] > 0.1
 
 
@@ -112,7 +117,7 @@ def test_flatten_exact_projection(t32):
 
 def test_flatten_synthetic_unipotent(t32):
     b, H0, f = synthetic_blowup(t32, 12.0)
-    pi = extract_projection(b, t32, H0, f)
+    pi, _ = extract_projection(HermCalculus(H0), f)
     F = flatten_projection(b, t32, pi)
     assert F.rank == 1
     assert np.abs(np.abs(F.basis[:, 0]) - [1.0, 0.0]).max() < 1e-10
@@ -120,7 +125,7 @@ def test_flatten_synthetic_unipotent(t32):
 
 def test_flatten_idempotent(t32):
     b, H0, f = synthetic_blowup(t32, 12.0)
-    pi = extract_projection(b, t32, H0, f)
+    pi, _ = extract_projection(HermCalculus(H0), f)
     F = flatten_projection(b, t32, pi)
     pi_exact = const_field(t32, F.projector())
     F2 = flatten_projection(b, t32, pi_exact)
@@ -164,15 +169,124 @@ def test_report_orthogonal_splitting_chern_weil_exact(t32):
 
     F = [s for s in enumerate_flat_subbundles(b)
          if abs(s.basis[0, 0]) > 0.9][0]
-    rep = destabilizing_report(b, t32, H0, g, pi, F)
+    rep = destabilizing_report(b, t32, HermCalculus(H0), g, pi, F)
     assert rep.chern_weil_defect < 1e-12
 
 
-def test_sigma_counts_in_report(t32):
+def test_largest_dropped_log2_in_report(t32):
+    # rho f = diag(e^-24, 1): the one dropped eigenvalue is 2^(-24 / ln 2)
     g = MetricField(t32, np.eye(1))
     b, H0, f = synthetic_blowup(t32, 12.0)
     rep = destabilize(b, t32, H0, g, f)
-    assert rep.sigma_counts, "sigma schedule diagnostic missing"
-    # the kept count stabilized at the kept-block size
-    assert rep.sigma_counts[-1] == 32 * (2 - rep.rank)
-    assert len(set(rep.sigma_counts[-3:])) == 1
+    assert rep.largest_dropped_log2 == pytest.approx(-24.0 / np.log(2.0), rel=1e-12)
+    assert rep.summary()["largest_dropped_log2"] == {
+        "value": rep.largest_dropped_log2, "tolerance": DROP_LOG2}
+
+
+def test_report_rejects_non_projection(t32, rng):
+    # the junk field of test_validate_reports_non_projection
+    g = MetricField(t32, np.eye(1))
+    b = build_bundle([np.eye(2)])
+    H0 = canonical_metric(b, t32)
+    junk = rng.standard_normal((32, 2, 2)) + 0j
+    F = FlatSubbundle(np.array([[1.0], [0.0]]), 1)
+    with pytest.raises(InvariantViolation):
+        destabilizing_report(b, t32, HermCalculus(H0), g, junk, F)
+
+
+def test_report_rejects_projection_defect(t32):
+    # constant and commuting with the monodromy, so del_0 pi = 0 and the
+    # Chern-Weil paths agree; pi^2 - pi = diag(0, -1/4) is the defect
+    g = MetricField(t32, np.eye(1))
+    b = build_bundle([np.diag([2.0, 3.0])])
+    H0 = canonical_metric(b, t32)
+    pi = const_field(t32, np.diag([1.0, 0.5]))
+    F = FlatSubbundle(np.array([[1.0], [0.0]]), 1)
+    with pytest.raises(InvariantViolation, match="projection defects"):
+        destabilizing_report(b, t32, HermCalculus(H0), g, pi, F)
+
+
+def test_report_rejects_chern_weil_defect(t32):
+    # an exact orthogonal projection onto a line that turns once around the
+    # circle: tr(K_0 pi) - |del_0 pi|^2 integrates to -pi^2 / 2 (g = 1),
+    # while the constant F has tr K_F = 0
+    g = MetricField(t32, np.eye(1))
+    b = build_bundle([np.eye(2)])
+    H0 = canonical_metric(b, t32)
+    v = np.stack([np.cos(np.pi * t32.coordinate(0)),
+                  np.sin(np.pi * t32.coordinate(0))], axis=-1)
+    pi = (v[..., :, None] * v[..., None, :]).astype(complex)
+    F = FlatSubbundle(np.array([[1.0], [0.0]]), 1)
+    with pytest.raises(InvariantViolation, match="Chern-Weil defect"):
+        destabilizing_report(b, t32, HermCalculus(H0), g, pi, F)
+
+
+def test_destabilize_builds_one_calculus_and_one_eigendecomposition(
+        t32, monkeypatch):
+    calls = {"init": 0, "eig": 0}
+    init, eig = HermCalculus.__init__, HermCalculus.eig
+
+    def counted_init(self, H):
+        calls["init"] += 1
+        init(self, H)
+
+    def counted_eig(self, F):
+        calls["eig"] += 1
+        return eig(self, F)
+
+    monkeypatch.setattr(HermCalculus, "__init__", counted_init)
+    monkeypatch.setattr(HermCalculus, "eig", counted_eig)
+    g = MetricField(t32, np.eye(1))
+    b, H0, f = synthetic_blowup(t32, 12.0)
+    destabilize(b, t32, H0, g, f)
+    assert calls == {"init": 1, "eig": 1}
+
+
+# ---------------------------------------------------------------------------
+# the band test against the sigma-power schedule it replaced
+# ---------------------------------------------------------------------------
+
+def sigma_schedule_keep(lam):
+    """The sigma-power split, as the oracle: counts of lam^sigma >= 1/2 for
+    sigma = 1, 1/2, ..., 1/16; the split stands when the last three counts
+    agree, and keeps lam >= 2^-16.  The keep mask, or None where the split
+    raises NoSpectralGap."""
+    counts = [int((lam**s >= 0.5).sum()) for s in (1.0, 0.5, 0.25, 0.125, 0.0625)]
+    if len(set(counts[-3:])) != 1:
+        return None
+    keep = lam >= 0.5**16
+    n_keep = keep.sum(axis=-1)
+    if n_keep.min() != n_keep.max() or n_keep[0] in (0, lam.shape[-1]):
+        return None
+    return keep
+
+
+@st.composite
+def log2_spectra(draw):
+    """log2-eigenvalues of a diagonal field on 8 grid points, ranks 2-4: each
+    point takes one of up to three spectra, and a common shift moves max f."""
+    r = draw(st.integers(2, 4))
+    spectrum = st.lists(st.floats(-40.0, 0.0), min_size=r, max_size=r)
+    pool = draw(st.lists(spectrum, min_size=1, max_size=3))
+    at = draw(st.lists(st.integers(0, len(pool) - 1), min_size=8, max_size=8))
+    return np.array([pool[i] for i in at]) + draw(st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300)
+@given(log2_spectra())
+def test_band_test_matches_sigma_schedule(x):
+    rel = x - x.max()
+    # away from the edges, where lam**sigma and the band test round differently
+    assume(np.abs(rel - (-4.0)).min() > 1e-9 and np.abs(rel - DROP_LOG2).min() > 1e-9)
+    w = 2.0**x
+    r = x.shape[-1]
+    calc = HermCalculus(np.broadcast_to(np.eye(r, dtype=complex), (8, r, r)))
+    f = w[..., None] * np.eye(r)
+    expected = sigma_schedule_keep(np.exp(-np.log(w.max())) * w)
+    if expected is None:
+        with pytest.raises(NoSpectralGap):
+            extract_projection(calc, f)
+    else:
+        pi, _ = extract_projection(calc, f)
+        kept = np.diagonal(pi, axis1=-2, axis2=-1).real < 0.5
+        assert (kept == expected).all()
