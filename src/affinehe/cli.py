@@ -69,6 +69,7 @@ def cmd_gauduchon(cfg: RunConfig) -> int:
         "already_gauduchon": res.already_gauduchon,
         "iterations": res.iterations,
         "kernel_solve_converged": res.converged,
+        "q_applications": res.q_applications,
     }, cfg.quiet)
     return 0
 

@@ -7,12 +7,15 @@ zero mode of the linear operator
     Q(phi) = del delbar (phi omega_g^{n-1}) / omega_g^n
            = (1 / 4n det g) sum_ij d_i d_j (det g g^{ij} phi),
 
-a Fourier multiplier on the adjugate fields, since the grid partials d_i are.
+a Fourier multiplier on the adjugate fields, since the grid partials d_i are;
+it is applied pair by pair, each nonzero det g g^{ij} transformed along
+axes i and j only.
 
 Q is only applied, never assembled: a preconditioned GMRES solve of a
-bordered system gives the kernel vector, and Lanczos and LOBPCG on Q^H Q
-certify that the discrete kernel is one-dimensional.  For n = 1 every
-metric is affine Gauduchon and the factor is identically one.
+bordered system gives the kernel vector, and an in-repo Lanczos (sigma_max)
+and scipy's LOBPCG (sigma_2) on Q^H Q certify that the discrete kernel is
+one-dimensional.  For n = 1 every metric is affine Gauduchon and the factor
+is identically one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .errors import KernelNotOneDimensional, NoPositiveKernel, ValidationError
+from .errors import (KernelNotOneDimensional, NoPositiveKernel, SolverError,
+                     ValidationError)
 from .forms import MetricField, laplacian_symbol, laplacian_type
 
 
@@ -40,44 +44,57 @@ class GauduchonResult:
     iterations: int = 0         # GMRES iterations of the kernel solve
     converged: bool = True      # that solve met its relative residual 1e-12
     already_gauduchon: bool = False
+    q_applications: int = 0     # apply_Q calls that found and certified it
 
 
 _MULTIPLIERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _multiplier(metric: MetricField):
-    """(a, m, d) with Q(phi) = ifftn(sum_k m_k fftn(a_k phi)) / d over pairs
-    i <= j: a_k = det g g^{ij} (doubled for i < j), m_k = -s_i s_j the grid
-    symbol of d_i d_j, d = 4n det g; kept per metric, freed with it."""
+    """(terms, d) with Q(phi) = sum ifft_axes(m fft_axes(a phi)) / d over the
+    terms (axes, a, m), one per pair i <= j with a = det g g^{ij} (doubled
+    for i < j) not identically zero: axes = (i,) or (i, j), m = -s_i s_j the
+    grid symbol of d_i d_j broadcast along those axes only (transforms along
+    the other axes cancel), d = 4n det g; kept per metric, freed with it."""
     if metric not in _MULTIPLIERS:
         n = metric.torus.dim
         adj = metric.det[..., None, None] * metric.inv
-        s = np.meshgrid(*(metric.torus.derivative_symbol(),) * n, indexing="ij")
-        pairs = list(zip(*np.triu_indices(n)))
-        _MULTIPLIERS[metric] = (
-            np.stack([(1 + (i != j)) * adj[..., i, j] for i, j in pairs]),
-            np.stack([-s[i] * s[j] for i, j in pairs]), 4 * n * metric.det)
+        s = [metric.torus.derivative_symbol().reshape([-1 if k == i else 1 for k in range(n)])
+             for i in range(n)]
+        terms = []
+        for i, j in zip(*np.triu_indices(n)):
+            a = (1 + (i != j)) * adj[..., i, j]
+            if a.any():
+                terms.append(((i,) if i == j else (i, j), a, -s[i] * s[j]))
+        _MULTIPLIERS[metric] = (terms, 4 * n * metric.det)
     return _MULTIPLIERS[metric]
+
+
+def _filter(axes: tuple[int, ...], m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ifft_axes(m fft_axes(v)); a one-axis term skips fftn's argument handling."""
+    if len(axes) == 1:
+        return np.fft.ifft(m * np.fft.fft(v, axis=axes[0]), axis=axes[0])
+    return np.fft.ifftn(m * np.fft.fftn(v, axes=axes), axes=axes)
 
 
 def apply_Q(metric: MetricField, phi: np.ndarray) -> np.ndarray:
     """Q(phi) = del delbar (phi omega^{n-1}) / omega^n; linear in phi."""
-    n = metric.torus.dim
-    if n < 2:
+    if metric.torus.dim < 2:
         raise ValidationError("Q is identically zero for n = 1; every metric is "
                               "affine Gauduchon")
-    a, m, d = _multiplier(metric)
-    return np.fft.ifftn((m * np.fft.fftn(a * phi, axes=range(1, n + 1))).sum(axis=0)) / d
+    terms, d = _multiplier(metric)
+    return sum(_filter(axes, m, a * phi) for axes, a, m in terms) / d
 
 
 def apply_QH(metric: MetricField, psi: np.ndarray) -> np.ndarray:
     """Exact Euclidean adjoint of the discrete Q (not the continuum Q*).
 
-    The steps of apply_Q in reverse: a, m and d are real and fftn^H is P
-    ifftn on P grid points, so Q^H psi = sum_k a_k ifftn(m_k fftn(psi / d)).
+    The steps of apply_Q in reverse: a, m and d are real and fft^H is P ifft
+    on P grid points, so Q^H psi = sum a ifft_axes(m fft_axes(psi / d)).
     """
-    a, m, d = _multiplier(metric)
-    return (a * np.fft.ifftn(m * np.fft.fftn(psi / d), axes=range(1, a.ndim))).sum(axis=0)
+    terms, d = _multiplier(metric)
+    psi = psi / d
+    return sum(a * _filter(axes, m, psi) for axes, a, m in terms)
 
 
 def apply_Qstar(metric: MetricField, psi: np.ndarray) -> np.ndarray:
@@ -95,14 +112,45 @@ GAUDUCHON_TOL = 1e-10       # residual below this counts as already Gauduchon
 SIGN_TOL = 1e-6             # relative negativity allowed in the kernel vector
 KERNEL_GAP_MIN = 1e-6       # sigma_2 must exceed this times sigma_max
 LOBPCG_TOL = 1e-10          # eigen-residual tolerance, relative to sigma_max^2
+LANCZOS_TOL = 1e-10         # Ritz residual tolerance, relative to sigma_max^2
+LANCZOS_MAXITER = 100       # Lanczos steps allowed for sigma_max^2
 
 
-def kernel_singular_values(metric: MetricField, phi: np.ndarray) -> tuple[float, float]:
+def largest_eigenvalue(op, v: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian map ``op``: Lanczos from ``v`` with
+    full reorthogonalization, stopped on ARPACK's test that the largest Ritz
+    pair (theta, V y) has residual |beta_k y_k| <= LANCZOS_TOL theta;
+    SolverError if LANCZOS_MAXITER steps do not meet it."""
+    V = np.empty((LANCZOS_MAXITER + 1, v.size), dtype=complex)  # rows touched on use
+    V[0] = v / np.linalg.norm(v)
+    alpha, beta = [], []
+    for k in range(LANCZOS_MAXITER):
+        B = V[:k + 1]
+        w = op(V[k])
+        h = (B @ w.conj()).conj()
+        w = w - h @ B
+        w = w - (B @ w.conj()).conj() @ B    # Gram-Schmidt twice is enough
+        alpha.append(h[k].real)
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, Y = np.linalg.eigh(T)
+        b = np.linalg.norm(w)
+        if b * abs(Y[-1, -1]) <= LANCZOS_TOL * theta[-1]:
+            return float(theta[-1])
+        beta.append(b)
+        V[k + 1] = w / b
+    raise SolverError(f"Lanczos did not reach Ritz residual {LANCZOS_TOL:g} "
+                      f"relative to the largest eigenvalue in {LANCZOS_MAXITER} steps")
+
+
+def kernel_singular_values(metric: MetricField, phi: np.ndarray,
+                           Q=None) -> tuple[float, float]:
     """(sigma_2, sigma_max) of the discrete Q, from Q^H Q without a matrix.
 
-    sigma_max^2 by Lanczos; sigma_2^2 by LOBPCG on the complement of the
-    kernel vector ``phi`` (a degenerate kernel leaves a null vector there),
-    from one fixed-seed vector smoothed by the preconditioner (white noise
+    ``Q`` applies Q to a grid field (by default ``apply_Q``).  sigma_max^2 by
+    the in-repo Lanczos (``largest_eigenvalue``) from a fixed-seed vector;
+    sigma_2^2 by scipy's LOBPCG on the complement of the kernel vector
+    ``phi`` (a degenerate kernel leaves a null vector there), from the next
+    draw of the same generator smoothed by the preconditioner (white noise
     stalls it on strongly varying metrics).  Q = V^{-1} L s exactly for
     conformally flat metrics (V the volume density, s = V tr g^{-1}, L of
     constant coefficients); the preconditioner inverts that form, with L's
@@ -110,10 +158,11 @@ def kernel_singular_values(metric: MetricField, phi: np.ndarray) -> tuple[float,
     checkerboard null modes are kept.
     """
     torus = metric.torus
-    QHQ = torus.operator(lambda v: apply_QH(metric, apply_Q(metric, v)))
+    if Q is None:
+        Q = lambda v: apply_Q(metric, v)  # noqa: E731
+    QHQ = torus.operator(lambda v: apply_QH(metric, Q(v)))
     rng = np.random.default_rng(0)
-    lam_max = spla.eigsh(QHQ, k=1, which="LA", tol=1e-10, return_eigenvectors=False,
-                         v0=rng.standard_normal(torus.n_points) + 0j)[0]
+    lam_max = largest_eigenvalue(QHQ.matvec, rng.standard_normal(torus.n_points) + 0j)
     p = laplacian_symbol(metric) / torus.dim
     nonzero = p > 1e-12 * p.max()
     p = np.where(nonzero, p, p[nonzero].min())
@@ -146,17 +195,24 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     """
     torus = metric.torus
     n = torus.dim
+    applications = 0
+
+    def Q(v):
+        nonlocal applications
+        applications += 1
+        return apply_Q(metric, v)
+
     res0 = metric.gauduchon_residual()           # zero for n = 1
     if res0 <= GAUDUCHON_TOL:
         ones = np.ones(torus.grid_shape)
-        q_res = float(np.abs(apply_Q(metric, ones)).max()) if n > 1 else 0.0
+        q_res = float(np.abs(Q(ones)).max()) if n > 1 else 0.0
         return GauduchonResult(factor=ones, metric=metric, residual=res0,
                                q_residual=q_res, kernel_gap=np.inf,
-                               already_gauduchon=True)
+                               already_gauduchon=True, q_applications=applications)
 
     # Q's principal symbol; zero where the mean term acts alone
     symbol = -laplacian_symbol(metric) / n
-    bordered = torus.operator(lambda v: apply_Q(metric, v) + v.mean())
+    bordered = torus.operator(lambda v: Q(v) + v.mean())
     fft_inverse = torus.operator(lambda v: torus.fft_divide(v, symbol))
     x, steps = None, []
     for _ in range(2):  # scipy's breakdown test can stop short of rtol: restart
@@ -170,7 +226,7 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
         raise KernelNotOneDimensional(
             "GMRES broke down on the bordered system Q + mean, which is "
             "singular exactly when Q has a null vector of mean zero")
-    sigma_2, sigma_max = kernel_singular_values(metric, x)
+    sigma_2, sigma_max = kernel_singular_values(metric, x, Q)
     if sigma_2 < KERNEL_GAP_MIN * sigma_max:
         raise KernelNotOneDimensional(
             f"second smallest singular value {sigma_2:.3e} is not separated "
@@ -190,5 +246,5 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     g_G = metric.conformal(phi ** (1.0 / (n - 1)))
     return GauduchonResult(
         factor=phi, metric=g_G, residual=g_G.gauduchon_residual(),
-        q_residual=float(np.abs(apply_Q(metric, phi)).max()),
-        kernel_gap=sigma_2 / sigma_max, iterations=len(steps), converged=info == 0)
+        q_residual=float(np.abs(Q(phi)).max()), kernel_gap=sigma_2 / sigma_max,
+        iterations=len(steps), converged=info == 0, q_applications=applications)

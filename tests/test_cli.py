@@ -305,6 +305,7 @@ dir = {out}
     assert rep["q_residual"]["value"] <= rep["q_residual"]["tolerance"]
     assert rep["factor_min"] > 0
     assert rep["kernel_solve_converged"] is True
+    assert rep["q_applications"] > 0
     assert (tmp_path / "out" / "gauduchon_factor.txt").exists()
 
 

@@ -11,7 +11,12 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import affinehe.gauduchon as gauduchon
-from affinehe.errors import KernelNotOneDimensional, NoPositiveKernel, ValidationError
+from affinehe.errors import (
+    KernelNotOneDimensional,
+    NoPositiveKernel,
+    SolverError,
+    ValidationError,
+)
 from affinehe.forms import MetricField, div_by_nu, dolbeault_del, dolbeault_delbar
 from affinehe.gauduchon import (
     KERNEL_GAP_MIN,
@@ -329,3 +334,147 @@ def test_factor_deterministic():
     assert np.array_equal(a.factor, b.factor)
     assert (a.kernel_gap, a.q_residual, a.iterations) == \
         (b.kernel_gap, b.q_residual, b.iterations)
+
+
+# -- Q and Q^H pair by pair ------------------------------------------------------
+def stacked_fftn_Q(metric, v, adjoint=False):
+    """Q (or Q^H) as one multiplier over all n(n+1)/2 pairs, each transformed
+    along every grid axis: the formula pair-by-pair application replaced."""
+    n = metric.torus.dim
+    adj = metric.det[..., None, None] * metric.inv
+    s = np.meshgrid(*(metric.torus.derivative_symbol(),) * n, indexing="ij")
+    pairs = list(zip(*np.triu_indices(n)))
+    a = np.stack([(1 + (i != j)) * adj[..., i, j] for i, j in pairs])
+    m = np.stack([-s[i] * s[j] for i, j in pairs])
+    d = 4 * n * metric.det
+    axes = range(1, n + 1)
+    if adjoint:
+        return (a * np.fft.ifftn(m * np.fft.fftn(v / d), axes=axes)).sum(axis=0)
+    return np.fft.ifftn((m * np.fft.fftn(a * v, axes=axes)).sum(axis=0)) / d
+
+
+def diag_metric(torus):
+    """g = diag(exp(0.3 b_k)) for smooth random b_k: diagonal, with a
+    different entry per axis, so a term on the wrong axis changes Q."""
+    rng = np.random.default_rng(3)
+    n = torus.dim
+    b = np.stack([random_smooth_scalar(torus, rng, modes=2, real=True).real
+                  for _ in range(n)], axis=-1)
+    return MetricField(torus, np.exp(0.3 * b)[..., None] * np.eye(n))
+
+
+PAIR_CASES = [(dim, N, kind) for dim, N in [(2, 8), (2, 9), (3, 8), (3, 9)]
+              for kind in ("diag", "full")]
+
+
+def pair_case_metric(dim, N, kind):
+    t = AffineTorus(dim, N)
+    return diag_metric(t) if kind == "diag" else bbt_metric(t)
+
+
+@pytest.mark.parametrize("dim,N,kind", PAIR_CASES)
+def test_Q_pair_by_pair_matches_stacked_fftn(dim, N, kind):
+    g = pair_case_metric(dim, N, kind)
+    rng = np.random.default_rng(4)
+    shape = g.torus.grid_shape
+    for _ in range(2):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for adjoint, apply in ((False, apply_Q), (True, apply_QH)):
+            expect = stacked_fftn_Q(g, v, adjoint)
+            assert np.abs(apply(g, v) - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("dim,N,kind", PAIR_CASES)
+def test_QH_is_adjoint_of_Q_in_the_euclidean_pairing(dim, N, kind):
+    g = pair_case_metric(dim, N, kind)
+    rng = np.random.default_rng(5)
+    shape = g.torus.grid_shape
+    phi, psi = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for _ in range(2))
+    Qphi = apply_Q(g, phi)
+    lhs, rhs = np.vdot(psi, Qphi), np.vdot(apply_QH(g, psi), phi)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(Qphi) * np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("dim,N,kind", PAIR_CASES)
+def test_multiplier_keeps_only_nonzero_pairs_on_their_axes(dim, N, kind):
+    g = pair_case_metric(dim, N, kind)
+    terms, _ = gauduchon._multiplier(g)
+    pairs = [(i, i) for i in range(dim)] if kind == "diag" else \
+        list(zip(*np.triu_indices(dim)))
+    assert [axes for axes, _, _ in terms] == [(i,) if i == j else (i, j)
+                                             for i, j in pairs]
+    for axes, a, m in terms:
+        assert a.shape == g.torus.grid_shape
+        assert m.shape == tuple(N if k in axes else 1 for k in range(dim))
+
+
+# -- sigma_max^2 by Lanczos ------------------------------------------------------
+def counted_QHQ(metric):
+    """Q^H Q on raveled vectors, and the list its applications are counted in."""
+    calls = []
+
+    def QHQ(v):
+        calls.append(1)
+        v = v.reshape(metric.torus.grid_shape)
+        return apply_QH(metric, apply_Q(metric, v)).ravel()
+
+    return QHQ, calls
+
+
+@pytest.mark.parametrize("dim,kind", [(2, "full"), (3, "diag")])
+def test_sigma_max_matches_dense_eigvalsh(dim, kind):
+    g = pair_case_metric(dim, 8, kind)
+    A = assemble_Q(g)
+    lam_dense = np.linalg.eigvalsh(A.conj().T @ A)[-1]
+    _, sigma_max = kernel_singular_values(g, np.ones(g.torus.n_points, dtype=complex))
+    assert abs(sigma_max**2 - lam_dense) <= 1e-10 * lam_dense
+
+
+def gauduchon_t3_seed1_metric():
+    """The benchmark's gauduchon_t3 input for seed 1: T^3 N=12, conformal_sin
+    with axis and amplitude drawn as the benchmark draws them."""
+    rng = np.random.default_rng(1)
+    axis = int(rng.integers(1, 4))
+    amplitude = float(rng.uniform(0.3, 0.6))
+    return sin_metric(AffineTorus(3, 12), amplitude, axis=axis - 1)
+
+
+def test_lanczos_matches_eigsh_with_no_more_products():
+    g = gauduchon_t3_seed1_metric()
+    v0 = np.random.default_rng(0).standard_normal(g.torus.n_points) + 0j
+    ours, our_calls = counted_QHQ(g)
+    theirs, their_calls = counted_QHQ(g)
+    lam = gauduchon.largest_eigenvalue(ours, v0)
+    op = scipy.sparse.linalg.LinearOperator((v0.size,) * 2, matvec=theirs, dtype=complex)
+    lam_eigsh = scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=1e-10, v0=v0,
+                                          return_eigenvectors=False)[0]
+    assert abs(lam - lam_eigsh) <= 1e-12 * lam_eigsh
+    assert len(our_calls) <= len(their_calls)
+
+
+def test_lanczos_capped_below_convergence_raises(monkeypatch):
+    g = gauduchon_t3_seed1_metric()
+    QHQ, calls = counted_QHQ(g)
+    v0 = np.random.default_rng(0).standard_normal(g.torus.n_points) + 0j
+    monkeypatch.setattr(gauduchon, "LANCZOS_MAXITER", 5)
+    with pytest.raises(SolverError, match="Lanczos"):
+        gauduchon.largest_eigenvalue(QHQ, v0)
+    assert len(calls) == 5
+
+
+# -- Q applications reported -----------------------------------------------------
+@pytest.mark.parametrize("already", [False, True])
+def test_q_applications_counts_every_apply_Q(monkeypatch, already):
+    g = (MetricField(AffineTorus(2, 8), np.eye(2)) if already
+         else sin_metric(AffineTorus(3, 8), 0.4))
+    calls = []
+
+    def counting(metric, phi):
+        calls.append(1)
+        return apply_Q(metric, phi)
+
+    monkeypatch.setattr(gauduchon, "apply_Q", counting)
+    res = find_gauduchon_factor(g)
+    assert res.already_gauduchon == already
+    assert res.q_applications == len(calls) > 0
