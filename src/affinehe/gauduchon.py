@@ -71,10 +71,14 @@ def _multiplier(metric: MetricField):
 
 
 def _filter(axes: tuple[int, ...], m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """ifft_axes(m fft_axes(v)); a one-axis term skips fftn's argument handling."""
-    if len(axes) == 1:
-        return np.fft.ifft(m * np.fft.fft(v, axis=axes[0]), axis=axes[0])
-    return np.fft.ifftn(m * np.fft.fftn(v, axes=axes), axes=axes)
+    """ifft_axes(m fft_axes(v)), one np.fft.fft call per axis (at N=12 a
+    diagonal T^3 Q takes 0.12 ms so and 0.17 ms through np.fft.fftn)."""
+    for axis in axes:
+        v = np.fft.fft(v, axis=axis)
+    v = m * v
+    for axis in axes:
+        v = np.fft.ifft(v, axis=axis)
+    return v
 
 
 def apply_Q(metric: MetricField, phi: np.ndarray) -> np.ndarray:
@@ -142,11 +146,10 @@ def largest_eigenvalue(op, v: np.ndarray) -> float:
                       f"relative to the largest eigenvalue in {LANCZOS_MAXITER} steps")
 
 
-def kernel_singular_values(metric: MetricField, phi: np.ndarray,
-                           Q=None) -> tuple[float, float]:
+def kernel_singular_values(metric: MetricField, phi: np.ndarray, Q) -> tuple[float, float]:
     """(sigma_2, sigma_max) of the discrete Q, from Q^H Q without a matrix.
 
-    ``Q`` applies Q to a grid field (by default ``apply_Q``).  sigma_max^2 by
+    ``Q(v)`` applies Q to a grid field, e.g. a counted ``apply_Q``.  sigma_max^2 by
     the in-repo Lanczos (``largest_eigenvalue``) from a fixed-seed vector;
     sigma_2^2 by scipy's LOBPCG on the complement of the kernel vector
     ``phi`` (a degenerate kernel leaves a null vector there), from the next
@@ -158,8 +161,6 @@ def kernel_singular_values(metric: MetricField, phi: np.ndarray,
     checkerboard null modes are kept.
     """
     torus = metric.torus
-    if Q is None:
-        Q = lambda v: apply_Q(metric, v)  # noqa: E731
     QHQ = torus.operator(lambda v: apply_QH(metric, Q(v)))
     rng = np.random.default_rng(0)
     lam_max = largest_eigenvalue(QHQ.matvec, rng.standard_normal(torus.n_points) + 0j)

@@ -309,7 +309,8 @@ def test_fd_even_grid_kernel_degenerate(dim, N):
     with pytest.raises(KernelNotOneDimensional):
         find_gauduchon_factor(g)
     # whatever vector is deflated, a null vector stays in its complement
-    sigma_2, sigma_max = kernel_singular_values(g, np.ones(t.n_points, dtype=complex))
+    sigma_2, sigma_max = kernel_singular_values(g, np.ones(t.n_points, dtype=complex),
+                                              lambda v: apply_Q(g, v))
     assert sigma_2 < KERNEL_GAP_MIN * sigma_max
 
 
@@ -427,7 +428,8 @@ def test_sigma_max_matches_dense_eigvalsh(dim, kind):
     g = pair_case_metric(dim, 8, kind)
     A = assemble_Q(g)
     lam_dense = np.linalg.eigvalsh(A.conj().T @ A)[-1]
-    _, sigma_max = kernel_singular_values(g, np.ones(g.torus.n_points, dtype=complex))
+    _, sigma_max = kernel_singular_values(g, np.ones(g.torus.n_points, dtype=complex),
+                                         lambda v: apply_Q(g, v))
     assert abs(sigma_max**2 - lam_dense) <= 1e-10 * lam_dense
 
 
