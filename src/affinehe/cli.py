@@ -70,6 +70,9 @@ def cmd_gauduchon(cfg: RunConfig) -> int:
         "iterations": res.iterations,
         "kernel_solve_converged": res.converged,
         "q_applications": res.q_applications,
+        "lanczos_steps": res.lanczos_steps,
+        "lobpcg_iterations": res.lobpcg_iterations,
+        "lobpcg_converged": res.lobpcg_converged,
     }, cfg.quiet)
     return 0
 

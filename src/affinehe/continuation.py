@@ -75,7 +75,7 @@ def solve_scalar_elliptic(gG: MetricField, rhs: np.ndarray) -> tuple[np.ndarray,
 
     mult = -laplacian_symbol(gG)
     A = torus.raveled(lambda rho: laplacian_type(gG, rho) + rho.mean())
-    M = torus.raveled(lambda rho: torus.fft_divide(rho, mult))
+    M = torus.raveled(torus.fft_divider(mult))
     tol = 1e-12  # relative lgmres tolerance, and the scale of the acceptance test
     x, info, _ = krylov.lgmres(A, rhs.ravel(), M, rtol=tol, atol=tol * scale, maxiter=400)
     rho = x.reshape(torus.grid_shape)
@@ -269,7 +269,7 @@ class ContinuationProblem:
         The solve is matrix-free: ``krylov.lgmres`` on the analytic matvec,
         preconditioned by the FFT inverse of the principal symbol plus eps.
         At eps = 0 the symbol vanishes on the mean mode, which
-        ``AffineTorus.fft_divide`` passes unchanged; on a polystable bundle
+        ``AffineTorus.fft_divider`` passes unchanged; on a polystable bundle
         the operator is singular along the commutant there, and a
         preconditioner that amplified that mode would throw the step off the
         solution path.  Raises LinearSolveStagnation when the true relative
@@ -285,7 +285,7 @@ class ContinuationProblem:
             phi = pmul(sqf, self._traceless(s), sqf)
             return self._traceless(self.linearize_residual(lin, phi))
         A = self.torus.raveled(matvec, (r, r))
-        M = self.torus.raveled(lambda v: self.torus.fft_divide(v, self._symbol + eps), (r, r))
+        M = self.torus.raveled(self.torus.fft_divider(self._symbol + eps, (r, r)), (r, r))
         with np.errstate(over="ignore", invalid="ignore"):
             x, info, rnorm = krylov.lgmres(A, b, M, rtol=eta, atol=eta * bnorm, maxiter=60)
         work["lgmres_unconverged"] += info != 0

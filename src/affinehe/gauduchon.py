@@ -12,24 +12,26 @@ it is applied pair by pair, each nonzero det g g^{ij} transformed along
 axes i and j only.
 
 Q is only applied, never assembled: a preconditioned GMRES solve of a
-bordered system gives the kernel vector, and an in-repo Lanczos (sigma_max)
-and scipy's LOBPCG (sigma_2) on Q^H Q certify that the discrete kernel is
-one-dimensional.  For n = 1 every metric is affine Gauduchon and the factor
-is identically one.
+bordered system gives the kernel vector, and a Lanczos (sigma_max) and a
+LOBPCG (sigma_2) on Q^H Q certify that the discrete kernel is
+one-dimensional; all three are the package's own numpy loops
+(``krylov.gmres``, ``largest_eigenvalue``, ``krylov.lobpcg``) on raveled
+grid fields.  For n = 1 every metric is affine Gauduchon and the factor is
+identically one.
 """
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
+from . import krylov
 from .errors import (KernelNotOneDimensional, NoPositiveKernel, SolverError,
                      ValidationError)
 from .forms import MetricField, laplacian_symbol, laplacian_type
+from .torus import transform
 
 
 @dataclass
@@ -45,6 +47,9 @@ class GauduchonResult:
     converged: bool = True      # that solve met its relative residual 1e-12
     already_gauduchon: bool = False
     q_applications: int = 0     # apply_Q calls that found and certified it
+    lanczos_steps: int = 0      # Q^H Q products of the sigma_max Lanczos
+    lobpcg_iterations: int = 0  # LOBPCG iterations for sigma_2
+    lobpcg_converged: bool = True  # LOBPCG met LOBPCG_TOL
 
 
 _MULTIPLIERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -73,12 +78,7 @@ def _multiplier(metric: MetricField):
 def _filter(axes: tuple[int, ...], m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """ifft_axes(m fft_axes(v)), one np.fft.fft call per axis (at N=12 a
     diagonal T^3 Q takes 0.12 ms so and 0.17 ms through np.fft.fftn)."""
-    for axis in axes:
-        v = np.fft.fft(v, axis=axis)
-    v = m * v
-    for axis in axes:
-        v = np.fft.ifft(v, axis=axis)
-    return v
+    return transform(np.fft.ifft, m * transform(np.fft.fft, v, axes), axes)
 
 
 def apply_Q(metric: MetricField, phi: np.ndarray) -> np.ndarray:
@@ -120,79 +120,85 @@ LANCZOS_TOL = 1e-10         # Ritz residual tolerance, relative to sigma_max^2
 LANCZOS_MAXITER = 100       # Lanczos steps allowed for sigma_max^2
 
 
-def largest_eigenvalue(op, v: np.ndarray) -> float:
-    """Largest eigenvalue of the Hermitian map ``op``: Lanczos from ``v`` with
-    full reorthogonalization, stopped on ARPACK's test that the largest Ritz
-    pair (theta, V y) has residual |beta_k y_k| <= LANCZOS_TOL theta;
-    SolverError if LANCZOS_MAXITER steps do not meet it."""
+def largest_eigenvalue(op, v: np.ndarray) -> tuple[float, int]:
+    """Largest eigenvalue of the Hermitian map ``op`` and the steps taken:
+    Lanczos from ``v`` with full reorthogonalization, stopped on ARPACK's
+    test that the largest Ritz pair (theta, V y) has residual
+    |beta_k y_k| <= LANCZOS_TOL theta; SolverError if LANCZOS_MAXITER steps
+    do not meet it."""
     V = np.empty((LANCZOS_MAXITER + 1, v.size), dtype=complex)  # rows touched on use
+    T = np.zeros((LANCZOS_MAXITER + 1, LANCZOS_MAXITER + 1))
     V[0] = v / np.linalg.norm(v)
-    alpha, beta = [], []
     for k in range(LANCZOS_MAXITER):
         B = V[:k + 1]
         w = op(V[k])
         h = (B @ w.conj()).conj()
-        w = w - h @ B
-        w = w - (B @ w.conj()).conj() @ B    # Gram-Schmidt twice is enough
-        alpha.append(h[k].real)
-        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        theta, Y = np.linalg.eigh(T)
+        w -= h @ B
+        w -= (B @ w.conj()).conj() @ B    # Gram-Schmidt twice is enough
+        T[k, k] = h[k].real
+        theta, Y = np.linalg.eigh(T[:k + 1, :k + 1])
         b = np.linalg.norm(w)
         if b * abs(Y[-1, -1]) <= LANCZOS_TOL * theta[-1]:
-            return float(theta[-1])
-        beta.append(b)
+            return float(theta[-1]), k + 1
+        T[k, k + 1] = T[k + 1, k] = b
         V[k + 1] = w / b
     raise SolverError(f"Lanczos did not reach Ritz residual {LANCZOS_TOL:g} "
                       f"relative to the largest eigenvalue in {LANCZOS_MAXITER} steps")
 
 
-def kernel_singular_values(metric: MetricField, phi: np.ndarray, Q) -> tuple[float, float]:
-    """(sigma_2, sigma_max) of the discrete Q, from Q^H Q without a matrix.
+def kernel_singular_values(metric: MetricField, phi: np.ndarray, Q) -> tuple[float, float, dict]:
+    """(sigma_2, sigma_max) of the discrete Q, from Q^H Q without a matrix,
+    and the work of the two eigensolvers (``lanczos_steps``,
+    ``lobpcg_iterations``, ``lobpcg_converged``).
 
     ``Q(v)`` applies Q to a grid field, e.g. a counted ``apply_Q``.  sigma_max^2 by
-    the in-repo Lanczos (``largest_eigenvalue``) from a fixed-seed vector;
-    sigma_2^2 by scipy's LOBPCG on the complement of the kernel vector
-    ``phi`` (a degenerate kernel leaves a null vector there), from the next
+    the Lanczos of ``largest_eigenvalue`` from a fixed-seed vector;
+    sigma_2^2 by ``krylov.lobpcg`` on the complement of the raveled kernel
+    vector ``phi`` (a degenerate kernel leaves a null vector there), from the next
     draw of the same generator smoothed by the preconditioner (white noise
     stalls it on strongly varying metrics).  Q = V^{-1} L s exactly for
     conformally flat metrics (V the volume density, s = V tr g^{-1}, L of
     constant coefficients); the preconditioner inverts that form, with L's
     symbol raised to its least nonzero value where it vanishes, so the fd
-    checkerboard null modes are kept.
+    checkerboard null modes are kept.  Between the two inverses of L it
+    multiplies by V^2 in real space, transforming only along the axes where
+    V^2 varies: the transforms along the others cancel.
     """
     torus = metric.torus
-    QHQ = torus.operator(lambda v: apply_QH(metric, Q(v)))
+    QHQ = torus.raveled(lambda v: apply_QH(metric, Q(v)))
     rng = np.random.default_rng(0)
-    lam_max = largest_eigenvalue(QHQ.matvec, rng.standard_normal(torus.n_points) + 0j)
+    lam_max, steps = largest_eigenvalue(QHQ, rng.standard_normal(torus.n_points) + 0j)
     p = laplacian_symbol(metric) / torus.dim
     nonzero = p > 1e-12 * p.max()
     p = np.where(nonzero, p, p[nonzero].min())
     V = metric.volume_density()
-    s = V * np.einsum("...ii->...", metric.inv)
+    s, V2 = V * np.einsum("...ii->...", metric.inv), V**2
+    varying = [k for k in range(torus.dim) if np.ptp(V2, axis=k).any()]
+    every = torus.fftn_axes
 
     def precondition(v):
-        return torus.fft_divide(torus.fft_divide(v / s, p) * V**2, p) / s
+        u = transform(np.fft.fft, v / s, every) / p
+        u = transform(np.fft.fft, V2 * transform(np.fft.ifft, u, varying), varying)
+        return transform(np.fft.ifft, u / p, every) / s
 
-    start = precondition(rng.standard_normal(torus.grid_shape) + 0j).reshape(-1, 1)
-    with warnings.catch_warnings():
-        # an unconverged run still returns Ritz values: upper bounds
-        warnings.simplefilter("ignore", UserWarning)
-        lam = spla.lobpcg(QHQ, start,
-                          Y=phi.reshape(-1, 1) / np.linalg.norm(phi),
-                          M=torus.operator(precondition), largest=False,
-                          tol=LOBPCG_TOL * lam_max, maxiter=200)[0]
-    return float(np.sqrt(max(lam.real[0], 0.0))), float(np.sqrt(lam_max))
+    start = precondition(rng.standard_normal(torus.grid_shape) + 0j).ravel()
+    lam, iterations, converged = krylov.lobpcg(
+        QHQ, start, torus.raveled(precondition), phi / np.linalg.norm(phi),
+        tol=LOBPCG_TOL * lam_max, maxiter=200)
+    work = {"lanczos_steps": steps, "lobpcg_iterations": iterations,
+            "lobpcg_converged": converged}
+    return float(np.sqrt(max(lam, 0.0))), float(np.sqrt(lam_max)), work
 
 
 def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     """Positive kernel element of Q, normalized, with the rescaled metric.
 
-    Solves (Q + mean) phi = 1 by GMRES to relative residual 1e-12 within
-    four restart cycles of 50, then once more from a finite nonzero result
-    (``converged`` says if it got there); since the volume weights annihilate
-    Q from the left, phi has mean one and Q phi = 0.  Raises
-    KernelNotOneDimensional if a second near-null direction exists, then
-    NoPositiveKernel unless phi is real and of one sign.
+    Solves (Q + mean) phi = 1 by ``krylov.gmres`` to relative residual 1e-12
+    within eight cycles of 50 (``converged`` says if it got there); since
+    the volume weights annihilate Q from the left, phi has mean one and
+    Q phi = 0.  Raises KernelNotOneDimensional if a second near-null
+    direction exists, then NoPositiveKernel unless phi is real and of one
+    sign.
     """
     torus = metric.torus
     n = torus.dim
@@ -213,21 +219,17 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
 
     # Q's principal symbol; zero where the mean term acts alone
     symbol = -laplacian_symbol(metric) / n
-    bordered = torus.operator(lambda v: Q(v) + v.mean())
-    fft_inverse = torus.operator(lambda v: torus.fft_divide(v, symbol))
-    x, steps = None, []
-    for _ in range(2):  # scipy's breakdown test can stop short of rtol: restart
-        x, info = spla.gmres(bordered, np.ones(torus.n_points, dtype=complex), x0=x,
-                             M=fft_inverse, rtol=1e-12, atol=0.0, restart=50, maxiter=4,
-                             callback=steps.append, callback_type="pr_norm")
-        if info == 0 or not 0.0 < np.linalg.norm(x) < np.inf:
-            break
+    x, info, steps = krylov.gmres(torus.raveled(lambda v: Q(v) + v.mean()),
+                                  np.ones(torus.n_points, dtype=complex),
+                                  torus.raveled(torus.fft_divider(symbol)),
+                                  rtol=1e-12, maxiter=8)
     if not 0.0 < np.linalg.norm(x) < np.inf:
         # (Q + mean) v = 0 forces mean(v) = 0 and Q v = 0
         raise KernelNotOneDimensional(
-            "GMRES broke down on the bordered system Q + mean, which is "
-            "singular exactly when Q has a null vector of mean zero")
-    sigma_2, sigma_max = kernel_singular_values(metric, x, Q)
+            "GMRES found no finite nonzero solution of the bordered system "
+            "Q + mean, which is singular exactly when Q has a null vector of "
+            "mean zero")
+    sigma_2, sigma_max, work = kernel_singular_values(metric, x, Q)
     if sigma_2 < KERNEL_GAP_MIN * sigma_max:
         raise KernelNotOneDimensional(
             f"second smallest singular value {sigma_2:.3e} is not separated "
@@ -248,4 +250,4 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     return GauduchonResult(
         factor=phi, metric=g_G, residual=g_G.gauduchon_residual(),
         q_residual=float(np.abs(Q(phi)).max()), kernel_gap=sigma_2 / sigma_max,
-        iterations=len(steps), converged=info == 0, q_applications=applications)
+        iterations=steps, converged=info == 0, q_applications=applications, **work)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import ValidationError
 
@@ -51,6 +50,9 @@ class AffineTorus:
             *(np.arange(resolution) / resolution for _ in range(dim)), indexing="ij"
         )
         self._coords = tuple(axes)
+        self._derivative_multipliers = {}   # (axis, ndim) -> i s along axis
+        # the grid axes in np.fft.fftn's order: its transforms, without its set-up
+        self.fftn_axes = tuple(range(dim - 1, -1, -1))
 
     def __repr__(self):
         return f"AffineTorus(dim={self.dim}, N={self.resolution}, backend={self.backend!r})"
@@ -83,11 +85,13 @@ class AffineTorus:
             return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) * (
                 self.resolution / 2.0
             )
+        key = (axis, values.ndim)
+        if key not in self._derivative_multipliers:
+            shape = [1] * values.ndim
+            shape[axis] = self.resolution
+            self._derivative_multipliers[key] = (1j * self.derivative_symbol()).reshape(shape)
         vhat = np.fft.fft(values, axis=axis)
-        shape = [1] * values.ndim
-        shape[axis] = self.resolution
-        mult = (1j * self.derivative_symbol()).reshape(shape)
-        return np.fft.ifft(vhat * mult, axis=axis)
+        return np.fft.ifft(vhat * self._derivative_multipliers[key], axis=axis)
 
     def integrate(self, values: np.ndarray) -> complex:
         """Integral over the unit fundamental domain.
@@ -117,18 +121,21 @@ class AffineTorus:
             return s
         return 2 * np.pi * self._freq
 
-    def fft_divide(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-        """Divide each grid Fourier mode of ``values`` by ``symbol``.
+    def fft_divider(self, symbol: np.ndarray, value_shape: tuple[int, ...] = ()):
+        """The map dividing each grid Fourier mode of a field with trailing
+        ``value_shape`` axes by ``symbol``, with the divisor prepared once.
 
         Modes where ``symbol == 0`` pass unchanged, so a preconditioner
         built from a singular symbol (zero on the mean mode) acts as the
-        identity there instead of amplifying it.  Trailing value axes
-        broadcast.
+        identity there instead of amplifying it.
         """
-        axes = tuple(range(self.dim))
-        symbol = np.where(symbol == 0, 1, symbol)
-        symbol = symbol.reshape(symbol.shape + (1,) * (np.ndim(values) - self.dim))
-        return np.fft.ifftn(np.fft.fftn(values, axes=axes) / symbol, axes=axes)
+        divisor = np.where(symbol == 0, 1, symbol)
+        divisor = divisor.reshape(divisor.shape + (1,) * len(value_shape))
+        axes = self.fftn_axes
+
+        def divide(values):
+            return transform(np.fft.ifft, transform(np.fft.fft, values, axes) / divisor, axes)
+        return divide
 
     def raveled(self, fn, value_shape: tuple[int, ...] = ()):
         """A map of grid fields with trailing ``value_shape`` axes as a map
@@ -136,11 +143,13 @@ class AffineTorus:
         shape = self.grid_shape + tuple(value_shape)
         return lambda v: fn(v.reshape(shape)).ravel()
 
-    def operator(self, fn) -> spla.LinearOperator:
-        """A linear map of scalar grid fields as a LinearOperator on raveled
-        vectors."""
-        n = self.n_points
-        return spla.LinearOperator((n, n), dtype=complex, matvec=self.raveled(fn))
+
+def transform(fn, values: np.ndarray, axes) -> np.ndarray:
+    """``fn`` (``np.fft.fft`` or ``np.fft.ifft``) applied along each of
+    ``axes`` in turn."""
+    for axis in axes:
+        values = fn(values, axis=axis)
+    return values
 
 
 def random_smooth_scalar(torus, rng, modes: int = 3, amplitude: float = 1.0,

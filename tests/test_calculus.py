@@ -198,11 +198,15 @@ def test_fft_divide_zero_mode_rule(rng):
     wave = np.exp(2j * np.pi * (x + 2 * y))
     c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     values = (1.0 + wave)[..., None, None] * c
-    out = t.fft_divide(values, symbol)
+    out = t.fft_divider(symbol, (2, 2))(values)
     expect = (1.0 + wave / (4 * np.pi**2 * 5))[..., None, None] * c
     assert np.abs(out - expect).max() < 1e-14
-    scalar = t.fft_divide(values[..., 0, 0], symbol)
+    scalar = t.fft_divider(symbol)(values[..., 0, 0])
     assert np.abs(scalar - out[..., 0, 0]).max() < 1e-14
+    # one transform per axis, in np.fft.fftn's order: the same numbers
+    divisor = np.where(symbol == 0, 1, symbol)[..., None, None]
+    assert np.array_equal(out, np.fft.ifftn(np.fft.fftn(values, axes=(0, 1)) / divisor,
+                                            axes=(0, 1)))
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])

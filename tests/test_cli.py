@@ -305,7 +305,11 @@ dir = {out}
     assert rep["q_residual"]["value"] <= rep["q_residual"]["tolerance"]
     assert rep["factor_min"] > 0
     assert rep["kernel_solve_converged"] is True
-    assert rep["q_applications"] > 0
+    assert rep["lobpcg_converged"] is True
+    # one GMRES cycle and its residual, the Lanczos, LOBPCG's start and
+    # iterations, and the final q_residual
+    assert rep["q_applications"] == (rep["iterations"] + 1 + rep["lanczos_steps"]
+                                     + 1 + rep["lobpcg_iterations"] + 1)
     assert (tmp_path / "out" / "gauduchon_factor.txt").exists()
 
 

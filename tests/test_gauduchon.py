@@ -5,12 +5,15 @@ column by column, its SVD for the kernel gap and its null vector for the
 factor.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
 import affinehe.gauduchon as gauduchon
+from affinehe import krylov
 from affinehe.errors import (
     KernelNotOneDimensional,
     NoPositiveKernel,
@@ -80,15 +83,17 @@ def Q_by_forms(metric, phi):
 
 
 def record_gmres(monkeypatch):
-    """(info, true relative residual) of every GMRES solve, as it happens."""
-    gmres, solves = scipy.sparse.linalg.gmres, []
+    """(info, true relative residual, the system) of every krylov.gmres
+    solve, as it happens."""
+    gmres, solves = krylov.gmres, []
 
-    def recording(A, b, **kwargs):
-        x, info = gmres(A, b, **kwargs)
-        solves.append((info, np.linalg.norm(b - A.matvec(x)) / np.linalg.norm(b)))
-        return x, info
+    def recording(matvec, b, psolve, **kwargs):
+        x, info, steps = gmres(matvec, b, psolve, **kwargs)
+        system = (matvec, b, psolve, kwargs)
+        solves.append((info, np.linalg.norm(b - matvec(x)) / np.linalg.norm(b), system))
+        return x, info, steps
 
-    monkeypatch.setattr(scipy.sparse.linalg, "gmres", recording)
+    monkeypatch.setattr(krylov, "gmres", recording)
     return solves
 
 
@@ -280,25 +285,32 @@ def test_kernel_certificate_work(monkeypatch):
 
 
 def test_kernel_solve_restarts_when_gmres_stops_short(monkeypatch):
-    # scipy's "exact solution" breakdown test ends the first solve above
-    # rtol = 1e-12; one restart from its result reaches rtol
+    # scipy's "exact solution" breakdown test ends its gmres above rtol =
+    # 1e-12 on this system; krylov.gmres ends only a cycle there, restarts
+    # from the true residual and reaches rtol in the one call
     solves = record_gmres(monkeypatch)
     with pytest.raises(KernelNotOneDimensional):     # gap 2.4e-7
         find_gauduchon_factor(sin_metric(AffineTorus(3, 8), 0.95, axis=1))
-    (info1, res1), (info2, res2) = solves
-    assert info1 != 0 and res1 > 1e-12
-    assert info2 == 0 and res2 <= 1e-12
+    [(info, res, (matvec, b, psolve, kwargs))] = solves
+    assert info == 0 and res <= 1e-12
+    n = b.size
+    x, scipy_info = scipy.sparse.linalg.gmres(
+        scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=complex), b,
+        M=scipy.sparse.linalg.LinearOperator((n, n), matvec=psolve, dtype=complex),
+        rtol=kwargs["rtol"], atol=0.0, restart=krylov.RESTART, maxiter=kwargs["maxiter"])
+    assert scipy_info != 0
+    assert np.linalg.norm(b - matvec(x)) / np.linalg.norm(b) > 1e-12
 
 
 @pytest.mark.parametrize("N", [8, 10])
 def test_kernel_solve_reports_convergence(monkeypatch, N):
-    # strongly varying metrics, where the first solve can stop short of rtol:
-    # at most one restart, and ``converged`` says whether rtol was reached
+    # strongly varying metrics, where GMRES can stop short of rtol: one
+    # solve, and ``converged`` says whether it reached rtol
     solves = record_gmres(monkeypatch)
     res = find_gauduchon_factor(sin_metric(AffineTorus(3, N), 0.9))
-    assert len(solves) <= 2
-    assert res.converged == (solves[-1][1] <= 1e-12)
-    assert solves[-1][1] <= 1e-9
+    [(_, residual, _)] = solves
+    assert res.converged == (residual <= 1e-12)
+    assert residual <= 1e-9
 
 
 @pytest.mark.parametrize("dim,N", [(2, 12), (2, 16), (3, 8)])
@@ -309,8 +321,8 @@ def test_fd_even_grid_kernel_degenerate(dim, N):
     with pytest.raises(KernelNotOneDimensional):
         find_gauduchon_factor(g)
     # whatever vector is deflated, a null vector stays in its complement
-    sigma_2, sigma_max = kernel_singular_values(g, np.ones(t.n_points, dtype=complex),
-                                              lambda v: apply_Q(g, v))
+    sigma_2, sigma_max, _ = kernel_singular_values(g, np.ones(t.n_points, dtype=complex),
+                                                 lambda v: apply_Q(g, v))
     assert sigma_2 < KERNEL_GAP_MIN * sigma_max
 
 
@@ -428,9 +440,28 @@ def test_sigma_max_matches_dense_eigvalsh(dim, kind):
     g = pair_case_metric(dim, 8, kind)
     A = assemble_Q(g)
     lam_dense = np.linalg.eigvalsh(A.conj().T @ A)[-1]
-    _, sigma_max = kernel_singular_values(g, np.ones(g.torus.n_points, dtype=complex),
-                                         lambda v: apply_Q(g, v))
+    _, sigma_max, _ = kernel_singular_values(g, np.ones(g.torus.n_points, dtype=complex),
+                                            lambda v: apply_Q(g, v))
     assert abs(sigma_max**2 - lam_dense) <= 1e-10 * lam_dense
+
+
+@pytest.mark.parametrize("dim,kind", [(2, "full"), (3, "diag")])
+def test_lobpcg_stops_when_the_search_direction_vanishes(dim, kind):
+    # ones is not a kernel vector here, so the residual keeps a part along
+    # it that no step in its complement removes: the preconditioned residual
+    # stops adding to the search space, the update vanishes, and LOBPCG
+    # stops unconverged, with no nan, at an upper bound of sigma_2^2 on that
+    # complement
+    g = pair_case_metric(dim, 8, kind)
+    ones = np.ones(g.torus.n_points, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sigma_2, _, work = kernel_singular_values(g, ones, lambda v: apply_Q(g, v))
+    assert not work["lobpcg_converged"] and work["lobpcg_iterations"] < 200
+    A = assemble_Q(g)
+    U = np.linalg.svd(ones[None, :])[2][1:].conj().T    # a basis of the complement
+    lam = np.linalg.eigvalsh(U.conj().T @ A.conj().T @ A @ U)[0]
+    assert lam <= sigma_2**2 <= (1 + 1e-4) * lam
 
 
 def gauduchon_t3_seed1_metric():
@@ -447,12 +478,12 @@ def test_lanczos_matches_eigsh_with_no_more_products():
     v0 = np.random.default_rng(0).standard_normal(g.torus.n_points) + 0j
     ours, our_calls = counted_QHQ(g)
     theirs, their_calls = counted_QHQ(g)
-    lam = gauduchon.largest_eigenvalue(ours, v0)
+    lam, steps = gauduchon.largest_eigenvalue(ours, v0)
     op = scipy.sparse.linalg.LinearOperator((v0.size,) * 2, matvec=theirs, dtype=complex)
     lam_eigsh = scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=1e-10, v0=v0,
                                           return_eigenvectors=False)[0]
     assert abs(lam - lam_eigsh) <= 1e-12 * lam_eigsh
-    assert len(our_calls) <= len(their_calls)
+    assert steps == len(our_calls) <= len(their_calls)
 
 
 def test_lanczos_capped_below_convergence_raises(monkeypatch):
@@ -480,3 +511,13 @@ def test_q_applications_counts_every_apply_Q(monkeypatch, already):
     res = find_gauduchon_factor(g)
     assert res.already_gauduchon == already
     assert res.q_applications == len(calls) > 0
+
+
+def test_factor_calls_nothing_in_scipy_sparse_linalg(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.sparse.linalg was called")
+
+    for name in ("gmres", "lobpcg", "LinearOperator"):
+        monkeypatch.setattr(scipy.sparse.linalg, name, forbidden)
+    res = find_gauduchon_factor(sin_metric(AffineTorus(3, 8), 0.4))
+    assert res.converged and res.lobpcg_converged

@@ -1,7 +1,9 @@
-"""krylov.lgmres against scipy's lgmres on the systems the continuation solves."""
+"""krylov.lgmres, gmres and lobpcg against scipy's on the systems the
+continuation and the Gauduchon factor solve."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from affinehe import krylov
@@ -12,24 +14,28 @@ from affinehe.bundle import (
     random_hermitian_metric,
 )
 from affinehe.continuation import ContinuationProblem, normalize_background
-from affinehe.forms import MetricField
+from affinehe.errors import NoPositiveKernel
+from affinehe.forms import MetricField, laplacian_symbol
+from affinehe.gauduchon import find_gauduchon_factor
 from affinehe.torus import AffineTorus
+from test_gauduchon import assemble_Q, bbt_metric, gauduchon_t3_seed1_metric, sin_metric
 
 UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
-def captured_system(solve):
-    """The (matvec, b, psolve, keyword arguments) of the one krylov.lgmres
-    call that ``solve`` makes."""
+def captured_system(solve, solver="lgmres"):
+    """The positional and then the keyword arguments of the one
+    krylov.``solver`` call that ``solve`` makes: (matvec, b, psolve, kwargs)
+    for lgmres and gmres."""
     calls = []
-    lgmres = krylov.lgmres
+    original = getattr(krylov, solver)
 
-    def capture(matvec, b, psolve, **kwargs):
-        calls.append((matvec, b, psolve, kwargs))
-        return lgmres(matvec, b, psolve, **kwargs)
+    def capture(*args, **kwargs):
+        calls.append((*args, kwargs))
+        return original(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(krylov, "lgmres", capture)
+        mp.setattr(krylov, solver, capture)
         solve()
     assert len(calls) == 1
     return calls[0]
@@ -141,3 +147,108 @@ def test_lgmres_one_cycle_on_a_hard_system_is_unconverged():
                                            maxiter=1)
     assert np.array_equal(x, x_scipy)
     assert ours.calls == scipy_calls
+
+
+def operator(fn, n):
+    return spla.LinearOperator((n, n), matvec=fn, dtype=complex)
+
+
+def gauduchon_kernel_solve(metric):
+    """find_gauduchon_factor on ``metric``, up to the NoPositiveKernel that
+    a complex kernel vector raises after the solve."""
+    def solve():
+        try:
+            find_gauduchon_factor(metric)
+        except NoPositiveKernel:
+            pass
+    return solve
+
+
+@pytest.mark.parametrize("metric", [gauduchon_t3_seed1_metric,
+                                    lambda: bbt_metric(AffineTorus(2, 16))],
+                         ids=["gauduchon_t3_seed1", "complex_bbt_T2_N16"])
+def test_gmres_matches_scipy_on_the_gauduchon_kernel_solve(metric):
+    # the bordered system (Q + mean) phi = 1 of the gauduchon_t3 seed 1
+    # input, and a complex one (a nondiagonal metric at even N): scipy's
+    # gmres takes the same steps to the same solution
+    matvec, b, psolve, kwargs = captured_system(gauduchon_kernel_solve(metric()), "gmres")
+    x, info, steps = krylov.gmres(matvec, b, psolve, **kwargs)
+    assert info == 0
+    assert np.linalg.norm(matvec(x) - b) <= kwargs["rtol"] * np.linalg.norm(b)
+    scipy_steps = []
+    x_scipy, scipy_info = spla.gmres(
+        operator(matvec, b.size), b, M=operator(psolve, b.size), rtol=kwargs["rtol"],
+        atol=0.0, restart=krylov.RESTART, maxiter=kwargs["maxiter"],
+        callback=scipy_steps.append, callback_type="pr_norm")
+    assert scipy_info == 0
+    assert steps == len(scipy_steps)
+    assert np.linalg.norm(x - x_scipy) <= 1e-12 * np.linalg.norm(x_scipy)
+
+
+@pytest.mark.parametrize("metric", [lambda: sin_metric(AffineTorus(3, 8), 0.4, axis=1),
+                                    lambda: bbt_metric(AffineTorus(3, 9))],
+                         ids=["sin_T3_N8", "bbt_T3_N9"])
+def test_lobpcg_matches_scipy_and_the_dense_svd(metric):
+    # sigma_2^2 on the complement of the kernel vector, from the start
+    # vector, preconditioner and tolerance of kernel_singular_values: scipy's
+    # lobpcg agrees to round-off and applies Q^H Q at least as often
+    g = metric()
+    matvec, x0, psolve, y, kwargs = captured_system(lambda: find_gauduchon_factor(g),
+                                                    "lobpcg")
+    ours = counting(matvec)
+    lam, iterations, converged = krylov.lobpcg(ours, x0, psolve, y, **kwargs)
+    assert converged and ours.calls == iterations + 1
+    theirs = counting(matvec)
+    n = x0.size
+    lam_scipy = spla.lobpcg(operator(theirs, n), x0.reshape(-1, 1), Y=y.reshape(-1, 1),
+                            M=operator(psolve, n), largest=False, **kwargs)[0][0]
+    assert abs(np.sqrt(lam) - np.sqrt(lam_scipy)) <= 1e-12 * np.sqrt(lam_scipy)
+    assert ours.calls <= theirs.calls
+    sigma_2 = scipy.linalg.svdvals(assemble_Q(g))[-2]
+    assert abs(np.sqrt(lam) - sigma_2) <= 1e-6 * sigma_2
+
+
+@pytest.mark.parametrize("metric", [lambda: sin_metric(AffineTorus(3, 8), 0.4, axis=1),
+                                    lambda: bbt_metric(AffineTorus(3, 9))],
+                         ids=["sin_T3_N8", "bbt_T3_N9"])
+def test_lobpcg_preconditioner_matches_its_all_axes_form(metric):
+    # s^-1 L^-1 V^2 L^-1 s^-1 with V^2 applied through transforms along
+    # every axis: the same map as transforming only along the axes V^2
+    # varies on (one for the sine metric, all three for g = I + B B^T)
+    g = metric()
+    _, _, psolve, _, _ = captured_system(lambda: find_gauduchon_factor(g), "lobpcg")
+    t = g.torus
+    p = laplacian_symbol(g) / t.dim
+    nonzero = p > 1e-12 * p.max()
+    p = np.where(nonzero, p, p[nonzero].min())
+    V = g.volume_density()
+    s = V * np.einsum("...ii->...", g.inv)
+
+    def divide(v):
+        return np.fft.ifftn(np.fft.fftn(v) / p)
+
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        v = rng.standard_normal(t.grid_shape) + 1j * rng.standard_normal(t.grid_shape)
+        expect = (divide(divide(v / s) * V**2) / s).ravel()
+        assert np.abs(psolve(v.ravel()) - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lobpcg_drops_a_dependent_update(seed):
+    # the complement of y is two-dimensional, so x, w and the update p are
+    # dependent from the second iteration on: p is dropped and theta stays
+    # the least eigenvalue of A on the complement, an upper bound that the
+    # residual's part along y (y is no eigenvector) keeps from converging
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    A = M @ M.conj().T
+    y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    y /= np.linalg.norm(y)
+    U = np.linalg.svd(y.conj()[None, :])[2][1:].conj().T   # a basis of the complement
+    lam = np.linalg.eigvalsh(U.conj().T @ A @ U)[0]
+    theta, iterations, converged = krylov.lobpcg(
+        lambda v: A @ v, rng.standard_normal(3) + 0j, lambda r: r, y,
+        tol=1e-10 * np.linalg.norm(A, 2), maxiter=20)
+    assert not converged and iterations > 1
+    assert abs(theta - lam) <= 1e-12 * lam
