@@ -371,9 +371,6 @@ class HermCalculus:
     def hermitize(self, F: np.ndarray) -> np.ndarray:
         return 0.5 * (F + self.adjoint(F))
 
-    def herm_defect(self, F: np.ndarray) -> float:
-        return float(np.abs(F - self.adjoint(F)).max())
-
     def from_hermitian(self, S: np.ndarray) -> np.ndarray:
         return pmul(self.isqrt, S, self.sqrt)
 
@@ -410,10 +407,6 @@ class HermCalculus:
             np.log(np.where(small, 1.0, wi / wj)) / np.where(small, 1.0, diff),
         )
         return lambda Phi: pmul(P, pmul(Q, Phi, P) * ratio, Q)
-
-    def inner(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Pointwise h-pairing tr(F G^*); scalar field."""
-        return np.einsum("...ab,...ba->...", F, self.adjoint(G))
 
     def norm(self, F: np.ndarray) -> np.ndarray:
         """Pointwise h-Frobenius norm |F| = sqrt tr(F F^*), the Frobenius

@@ -174,8 +174,9 @@ class ContinuationProblem:
         self.gG = gG
         self.rank = bundle.rank
         self.calc0 = HermCalculus(H0)
-        self.del0 = Del0(bundle, torus, hermitian_connection(bundle, torus, H0))
-        self.K0 = mean_curvature(gG, bundle, torus, H0)
+        theta0 = hermitian_connection(bundle, torus, H0)
+        self.del0 = Del0(bundle, torus, theta0)
+        self.K0 = trace_g(gG, end_delbar(theta0))
         self.eye = np.eye(bundle.rank)
         self.K0_shift = self.K0 - gamma * self.eye
         # symbol of -tr_g delbar del_0 at f = I

@@ -14,11 +14,10 @@ derivative D_k F + [B_k, F] (B_k = log rho_k) for End-valued ones.  The
 commutator is one r^2 x r^2 contraction with the bundle's cached ad(B_k),
 skipped on axes where B_k = 0.
 
-On scalar forms, the wedge product carries the sign (-1)^{q1 p2} in front
-of the slot-wise exterior products, and conjugation maps a (p,q)-form to a
-(q,p)-form with the sign (-1)^{pq}.  Division of an (n,n)-form by the
-parallel volume form uses the sign (-1)^{n(n-1)/2}, which makes
-omega_g^n / nu positive for positive definite g.
+On scalar forms, conjugation maps a (p,q)-form to a (q,p)-form with the
+sign (-1)^{pq}.  Division of an (n,n)-form by the parallel volume form uses
+the sign (-1)^{n(n-1)/2}, which makes omega_g^n / nu = n! det g positive
+for positive definite g.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -70,27 +69,6 @@ def _derivative_table(n: int, p: int):
             if out is None:
                 continue
             table.append((k, i_in, index_position(n, p + 1)[out], sgn))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _wedge_table(n: int, pa: int, qa: int, pb: int, qb: int):
-    """Entries (ia, ja, ib, jb, iout, jout, sign) including (-1)^{qa pb}."""
-    table = []
-    front = (-1) ** (qa * pb)
-    for ia, I1 in enumerate(increasing_indices(n, pa)):
-        for ib, I2 in enumerate(increasing_indices(n, pb)):
-            Iout, sI = merge_sign(I1, I2)
-            if Iout is None:
-                continue
-            io = index_position(n, pa + pb)[Iout]
-            for ja, J1 in enumerate(increasing_indices(n, qa)):
-                for jb, J2 in enumerate(increasing_indices(n, qb)):
-                    Jout, sJ = merge_sign(J1, J2)
-                    if Jout is None:
-                        continue
-                    jo = index_position(n, qa + qb)[Jout]
-                    table.append((ia, ja, ib, jb, io, jo, front * sI * sJ))
     return tuple(table)
 
 
@@ -214,22 +192,6 @@ def dolbeault_delbar(omega: Form) -> Form:
     return out
 
 
-def wedge(a: Form, b: Form) -> Form:
-    """(phi1 (x) psi1) ^ (phi2 (x) psi2) = (-1)^{q1 p2} (phi1^phi2) (x) (psi1^psi2)."""
-    _require_scalar(a, b)
-    if a.torus is not b.torus:
-        raise ValidationError("wedge of forms on different tori")
-    n = a.torus.dim
-    if a.p + b.p > n or a.q + b.q > n:
-        raise ValidationError(
-            f"wedge degree overflow: ({a.p},{a.q}) ^ ({b.p},{b.q}) on n={n}"
-        )
-    out = Form.zero(a.torus, a.p + b.p, a.q + b.q)
-    for ia, ja, ib, jb, io, jo, sgn in _wedge_table(n, a.p, a.q, b.p, b.q):
-        out.coeffs[..., io, jo] += sgn * a.coeffs[..., ia, ja] * b.coeffs[..., ib, jb]
-    return out
-
-
 def conjugate_form(omega: Form) -> Form:
     """conj(alpha (x) beta) = (-1)^{pq} conj(beta) (x) conj(alpha): (p,q) -> (q,p)."""
     _require_scalar(omega)
@@ -270,7 +232,6 @@ class MetricField:
         self.g = g
         self._inv = None
         self._det = None
-        self._omega_pow: dict[int, Form] = {}
 
     @property
     def inv(self) -> np.ndarray:
@@ -284,28 +245,9 @@ class MetricField:
             self._det = np.linalg.det(self.g)
         return self._det
 
-    def omega(self) -> Form:
-        """The nondegenerate (1,1)-form g_ij dz^i (x) dzbar^j."""
-        return Form(self.torus, 1, 1, self.g.astype(complex))
-
-    def omega_pow(self, k: int) -> Form:
-        """Wedge power omega^k, cached."""
-        n = self.torus.dim
-        if not 0 <= k <= n:
-            raise ValidationError(f"omega power {k} out of range for n={n}")
-        if k not in self._omega_pow:
-            if k == 0:
-                pw = Form.from_scalar(self.torus, np.ones(self.torus.grid_shape))
-            else:
-                pw = self.omega()
-                for _ in range(k - 1):
-                    pw = wedge(pw, self.omega())
-            self._omega_pow[k] = pw
-        return self._omega_pow[k]
-
     def volume_density(self) -> np.ndarray:
-        """omega^n / nu as a positive scalar field (equals n! det g)."""
-        return div_by_nu(self.omega_pow(self.torus.dim)).real
+        """omega^n / nu = n! det g, a positive scalar field."""
+        return factorial(self.torus.dim) * self.det
 
     def total_volume(self) -> float:
         return self.torus.integrate(self.volume_density()).real
@@ -318,14 +260,6 @@ class MetricField:
         if f.min() <= 0:
             raise NonHPD("conformal factor must be positive")
         return MetricField(self.torus, self.g * f[..., None, None])
-
-    def gauduchon_residual(self) -> float:
-        """sup |del delbar(omega^{n-1}) / nu|; zero means affine Gauduchon."""
-        n = self.torus.dim
-        if n == 1:
-            return 0.0
-        ddbar = dolbeault_del(dolbeault_delbar(self.omega_pow(n - 1)))
-        return float(np.abs(div_by_nu(ddbar)).max())
 
 
 def trace_g(metric: MetricField, T: Form) -> np.ndarray:

@@ -9,7 +9,9 @@ zero mode of the linear operator
 
 a Fourier multiplier on the adjugate fields, since the grid partials d_i are;
 it is applied pair by pair, each nonzero det g g^{ij} transformed along
-axes i and j only.
+axes i and j only.  The same terms give the Gauduchon residual:
+del delbar omega^{n-1} / nu = Q(1) omega^n / nu
+= ((n-1)!/4) sum_ij d_i d_j (det g g^{ij}), with omega^n / nu = n! det g.
 
 Q is only applied, never assembled: a preconditioned GMRES solve of a
 bordered system gives the kernel vector, and a Lanczos (sigma_max) and a
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -40,7 +43,7 @@ class GauduchonResult:
 
     factor: np.ndarray          # positive scalar field, normalized
     metric: MetricField         # g_G = factor^{1/(n-1)} g
-    residual: float             # sup |del delbar omega_{g_G}^{n-1} / nu|
+    residual: float             # gauduchon_residual(g_G)
     q_residual: float           # sup |Q(factor)|
     kernel_gap: float           # sigma_2 / sigma_max of the discrete Q
     iterations: int = 0         # GMRES iterations of the kernel solve
@@ -81,6 +84,20 @@ def _filter(axes: tuple[int, ...], m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return transform(np.fft.ifft, m * transform(np.fft.fft, v, axes), axes)
 
 
+def gauduchon_residual(metric: MetricField) -> float:
+    """sup |del delbar omega^{n-1} / nu| over mean(det g)^{(n-1)/n}; zero
+    means affine Gauduchon.  The numerator, Q(1) omega^n / nu, scales as
+    c^{n-1} under g -> c g, which the divisor cancels; the divisor is 1
+    when det g = 1."""
+    n = metric.torus.dim
+    if n == 1:
+        return 0.0
+    terms, _ = _multiplier(metric)
+    ddbar = sum(_filter(axes, m, a) for axes, a, m in terms)
+    scale = metric.det.mean() ** ((n - 1) / n)
+    return factorial(n - 1) / 4 * float(np.abs(ddbar).max()) / scale
+
+
 def apply_Q(metric: MetricField, phi: np.ndarray) -> np.ndarray:
     """Q(phi) = del delbar (phi omega^{n-1}) / omega^n; linear in phi."""
     if metric.torus.dim < 2:
@@ -112,7 +129,7 @@ def pairing(metric: MetricField, phi: np.ndarray, psi: np.ndarray) -> complex:
     return metric.torus.integrate(density)
 
 
-GAUDUCHON_TOL = 1e-10       # residual below this counts as already Gauduchon
+GAUDUCHON_TOL = 1e-10       # gauduchon_residual below this: already Gauduchon
 SIGN_TOL = 1e-6             # relative negativity allowed in the kernel vector
 KERNEL_GAP_MIN = 1e-6       # sigma_2 must exceed this times sigma_max
 LOBPCG_TOL = 1e-10          # eigen-residual tolerance, relative to sigma_max^2
@@ -209,7 +226,7 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
         applications += 1
         return apply_Q(metric, v)
 
-    res0 = metric.gauduchon_residual()           # zero for n = 1
+    res0 = gauduchon_residual(metric)  # zero for n = 1
     if res0 <= GAUDUCHON_TOL:
         ones = np.ones(torus.grid_shape)
         q_res = float(np.abs(Q(ones)).max()) if n > 1 else 0.0
@@ -248,6 +265,6 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     phi *= w.sum() / (phi * w).sum()     # int phi omega^n/nu = int omega^n/nu
     g_G = metric.conformal(phi ** (1.0 / (n - 1)))
     return GauduchonResult(
-        factor=phi, metric=g_G, residual=g_G.gauduchon_residual(),
+        factor=phi, metric=g_G, residual=gauduchon_residual(g_G),
         q_residual=float(np.abs(Q(phi)).max()), kernel_gap=sigma_2 / sigma_max,
         iterations=steps, converged=info == 0, q_applications=applications, **work)

@@ -26,7 +26,8 @@ from .forms import (
     dolbeault_del,
     dolbeault_delbar,
 )
-from .gauduchon import apply_Q, apply_Qstar, find_gauduchon_factor, pairing
+from .gauduchon import (apply_Q, apply_Qstar, find_gauduchon_factor,
+                        gauduchon_residual, pairing)
 from .stability import commutant_dimension, degree, enumerate_flat_subbundles
 from .torus import AffineTorus, random_smooth_scalar
 
@@ -75,23 +76,24 @@ def run_selftest(quiet: bool = False, seed: int = 0):
     c2 = conjugate_form(conjugate_form(om))
     check("conj involution", float(np.abs(c2.coeffs - om.coeffs).max()), 1e-12)
 
-    # omega^n/nu = n! det g
-    A = rng.standard_normal((n, n))
-    g = MetricField(torus, A @ A.T + n * np.eye(n))
-    check("omega^n/nu = n! det g",
-          float(np.abs(g.volume_density() - math.factorial(n)
-                       * np.linalg.det(g.g)).max()), 1e-8)
+    # the Gauduchon residual is sup |Q(1) omega^n/nu| over its scale
+    x1 = torus.coordinate(0)
+    gm = MetricField(torus, np.eye(n)[(None,) * n]
+                     * (1.0 + 0.5 * np.sin(2 * np.pi * x1))[..., None, None])
+    ddbar = np.abs(apply_Q(gm, np.ones(torus.grid_shape)) * gm.volume_density()).max()
+    scale = gm.det.mean() ** ((n - 1) / n)
+    check("residual = sup|Q(1) omega^n/nu| / scale",
+          abs(gauduchon_residual(gm) * scale / ddbar - 1.0), 1e-12)
 
     # Q adjointness
+    A = rng.standard_normal((n, n))
+    g = MetricField(torus, A @ A.T + n * np.eye(n))
     f1 = random_smooth_scalar(torus, rng, real=True)
     f2 = random_smooth_scalar(torus, rng, real=True)
     lhs = pairing(g, apply_Q(g, f1), f2)
     rhs = pairing(g, f1, apply_Qstar(g, f2))
     check("Q adjointness", abs(lhs - rhs), 10.0 / N**2)
 
-    x1 = torus.coordinate(0)
-    gm = MetricField(torus, np.eye(n)[(None,) * n]
-                     * (1.0 + 0.5 * np.sin(2 * np.pi * x1))[..., None, None])
     res = find_gauduchon_factor(gm)
     check("gauduchon residual", res.q_residual, 1e-8)
     check("gauduchon positivity", float(-res.factor.min()), 0.0)

@@ -10,10 +10,11 @@ purely scalar).  The result is a finite canonical family that contains every
 invariant subspace when the joint spectrum is simple and always witnesses
 reducibility.
 
-Degrees are computed from c_1(E,h) ^ omega^{n-1} / nu against an affine
-Gauduchon metric; on the standard torus every flat bundle has degree zero up
-to quadrature error, so the stable verdict reduces to irreducibility and
-slope ties are reported as strictly semistable.
+Degrees are computed from c_1(E,h) ^ omega^{n-1} / nu
+= (1/n) tr_g(c_1) omega^n / nu against an affine Gauduchon metric; on the
+standard torus every flat bundle has degree zero up to quadrature error, so
+the stable verdict reduces to irreducibility and slope ties are reported as
+strictly semistable.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .errors import (
     RankTooLarge,
     ValidationError,
 )
-from .forms import MetricField, div_by_nu, wedge
+from .forms import MetricField, trace_g
+from .gauduchon import gauduchon_residual
 from .torus import AffineTorus
 
 INVARIANCE_TOL = 1e-10
@@ -49,9 +51,6 @@ class FlatSubbundle:
         self.basis = np.asarray(self.basis, dtype=complex)
         if self.basis.ndim != 2 or self.basis.shape[1] != self.rank:
             raise ValidationError("subbundle basis shape mismatch")
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ np.conj(self.basis.T)
 
 
 def _orth(cols: np.ndarray) -> np.ndarray:
@@ -184,7 +183,7 @@ def _nilpotent_invariant_subspaces(mats: list[np.ndarray]) -> list[np.ndarray]:
         return out
     # kernel flag
     flag = []
-    K = _common_kernel(mats)
+    K = K1 = _common_kernel(mats)
     while K.shape[1] < d:
         if K.shape[1] == 0:
             break
@@ -201,7 +200,6 @@ def _nilpotent_invariant_subspaces(mats: list[np.ndarray]) -> list[np.ndarray]:
     if 0 < images.shape[1] < d:
         flag.append(images)
     # subset spans inside the common kernel (the family acts by zero there)
-    K1 = _common_kernel(mats)
     if K1.shape[1] > 1:
         for k in range(1, K1.shape[1]):
             for cols in combinations(range(K1.shape[1]), k):
@@ -315,20 +313,9 @@ def commutant_basis(mats: list[np.ndarray], real: bool = False) -> list[np.ndarr
     r = mats[0].shape[0]
     eye = np.eye(r)
     # row-major vec: vec(m X - X m) = (m (x) I - I (x) m^T) vec(X)
-    A = np.vstack([np.kron(m, eye) - np.kron(eye, m.T) for m in mats])
-    if real:
-        A = np.vstack([A.real, A.imag])
-    U, s, Vh = np.linalg.svd(A)
-    scale = max(1.0, s[0] if len(s) else 1.0)
-    null = [i for i in range(r * r) if i >= len(s) or s[i] <= 1e-10 * scale]
-    vecs = np.conj(Vh[null, :]).T  # columns
-    out = []
-    for j in range(vecs.shape[1]):
-        X = vecs[:, j].reshape(r, r)
-        if real:
-            X = X.real
-        out.append(X)
-    return out
+    A = [np.kron(m, eye) - np.kron(eye, m.T) for m in mats]
+    vecs = _common_kernel([a.real for a in A] + [a.imag for a in A] if real else A)
+    return [X.real if real else X for X in vecs.T.reshape(-1, r, r)]
 
 
 def simplicity_class(bundle: FlatBundle) -> str:
@@ -388,7 +375,7 @@ def conjugate_splitting(bundle: FlatBundle):
 # ---------------------------------------------------------------------------
 
 def _require_gauduchon(gG: MetricField):
-    res = gG.gauduchon_residual()
+    res = gauduchon_residual(gG)
     if res > GAUDUCHON_CHECK_TOL:
         raise NonGauduchonMetric(
             f"metric has Gauduchon residual {res:.3e} > {GAUDUCHON_CHECK_TOL:.1e}"
@@ -397,11 +384,11 @@ def _require_gauduchon(gG: MetricField):
 
 def degree(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
            gG: MetricField) -> float:
-    """deg_g E = int c_1(E,h) ^ omega^{n-1} / nu (metric h arbitrary HPD)."""
+    """deg_g E = int c_1(E,h) ^ omega^{n-1} / nu
+    = (1/n) int tr_g(c_1) omega^n / nu (metric h arbitrary HPD)."""
     _require_gauduchon(gG)
-    n = torus.dim
     c1 = first_chern_form(bundle, torus, H)
-    total = torus.integrate(div_by_nu(wedge(c1, gG.omega_pow(n - 1))))
+    total = torus.integrate(trace_g(gG, c1) * gG.volume_density()) / torus.dim
     return float(total.real)
 
 
