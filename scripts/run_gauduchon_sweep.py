@@ -21,7 +21,8 @@ def main():
     torus = AffineTorus(dim, N)
     x1 = torus.coordinate(0)
     print(f"{'a':>6} {'Q-residual':>12} {'kernel gap':>12} "
-          f"{'vs analytic':>12} {'min factor':>11}")
+          f"{'vs analytic':>12} {'min factor':>11} {'converged':>9}")
+    unconverged = 0
     for a in (0.1, 0.25, 0.5, 0.75, 0.9):
         c = 1.0 + a * np.sin(2 * np.pi * x1)
         g = MetricField(torus, np.eye(dim) * c[..., None, None])
@@ -31,8 +32,10 @@ def main():
         phi_true *= torus.integrate(w).real / torus.integrate(phi_true * w).real
         dev = np.abs(res.factor - phi_true).max()
         print(f"{a:>6.2f} {res.q_residual:>12.3e} {res.kernel_gap:>12.3e} "
-              f"{dev:>12.3e} {res.factor.min():>11.6f}")
+              f"{dev:>12.3e} {res.factor.min():>11.6f} {res.converged!s:>9}")
+        unconverged += not res.converged
+    return 1 if unconverged else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -253,13 +253,15 @@ class MetricField:
         return self.torus.integrate(self.volume_density()).real
 
     def conformal(self, factor: np.ndarray) -> "MetricField":
-        """Pointwise rescaling factor * g for a positive scalar field."""
+        """factor * g for a positive scalar field; g^{-1} and det g rescaled, not recomputed."""
         f = np.asarray(factor, dtype=float)
         if f.shape != self.torus.grid_shape:
             raise ValidationError("conformal factor must be a scalar grid field")
         if f.min() <= 0:
             raise NonHPD("conformal factor must be positive")
-        return MetricField(self.torus, self.g * f[..., None, None])
+        out = MetricField(self.torus, self.g * f[..., None, None])
+        out._inv, out._det = self.inv / f[..., None, None], self.det * f**self.torus.dim
+        return out
 
 
 def trace_g(metric: MetricField, T: Form) -> np.ndarray:

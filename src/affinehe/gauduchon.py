@@ -7,14 +7,15 @@ zero mode of the linear operator
     Q(phi) = del delbar (phi omega_g^{n-1}) / omega_g^n
            = (1 / 4n det g) sum_ij d_i d_j (det g g^{ij} phi),
 
-a Fourier multiplier on the adjugate fields, since the grid partials d_i are;
-it is applied pair by pair, each nonzero det g g^{ij} transformed along
-axes i and j only.  The same terms give the Gauduchon residual:
+applied pair by pair: each nonzero det g g^{ij} phi is differentiated along
+axes i and j only, by the torus's N x N derivative matrices (d_i d_i by the
+second-derivative matrix).  The same terms give the Gauduchon residual:
 del delbar omega^{n-1} / nu = Q(1) omega^n / nu
 = ((n-1)!/4) sum_ij d_i d_j (det g g^{ij}), with omega^n / nu = n! det g.
 
-Q is only applied, never assembled: a preconditioned GMRES solve of a
-bordered system gives the kernel vector, and a Lanczos (sigma_max) and a
+Q is only applied, never assembled: a GMRES solve of a bordered system,
+preconditioned by its exact inverse under a conformally flat model of the
+metric, gives the kernel vector, and a Lanczos (sigma_max) and a
 LOBPCG (sigma_2) on Q^H Q certify that the discrete kernel is
 one-dimensional; all three are the package's own numpy loops
 (``krylov.gmres``, ``largest_eigenvalue``, ``krylov.lobpcg``) on raveled
@@ -34,7 +35,7 @@ from . import krylov
 from .errors import (KernelNotOneDimensional, NoPositiveKernel, SolverError,
                      ValidationError)
 from .forms import MetricField, laplacian_symbol, laplacian_type
-from .torus import transform
+from .torus import along, transform
 
 
 @dataclass
@@ -59,29 +60,22 @@ _MULTIPLIERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _multiplier(metric: MetricField):
-    """(terms, d) with Q(phi) = sum ifft_axes(m fft_axes(a phi)) / d over the
-    terms (axes, a, m), one per pair i <= j with a = det g g^{ij} (doubled
-    for i < j) not identically zero: axes = (i,) or (i, j), m = -s_i s_j the
-    grid symbol of d_i d_j broadcast along those axes only (transforms along
-    the other axes cancel), d = 4n det g; kept per metric, freed with it."""
+    """(terms, d) with Q(phi) = sum along(a phi, *ops) / d over the terms
+    (a, ops), one per pair i <= j with a = det g g^{ij} (doubled for i < j)
+    not identically zero: ops = ((i, D2),) or ((i, D), (j, D)), the
+    torus's derivative matrices, each with the axis it acts along; d =
+    4n det g.  Kept per metric, freed with it."""
     if metric not in _MULTIPLIERS:
         n = metric.torus.dim
+        D, D2 = metric.torus.derivative_matrices
         adj = metric.det[..., None, None] * metric.inv
-        s = [metric.torus.derivative_symbol().reshape([-1 if k == i else 1 for k in range(n)])
-             for i in range(n)]
         terms = []
         for i, j in zip(*np.triu_indices(n)):
             a = (1 + (i != j)) * adj[..., i, j]
             if a.any():
-                terms.append(((i,) if i == j else (i, j), a, -s[i] * s[j]))
+                terms.append((a, ((i, D2),) if i == j else ((i, D), (j, D))))
         _MULTIPLIERS[metric] = (terms, 4 * n * metric.det)
     return _MULTIPLIERS[metric]
-
-
-def _filter(axes: tuple[int, ...], m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """ifft_axes(m fft_axes(v)), one np.fft.fft call per axis (at N=12 a
-    diagonal T^3 Q takes 0.12 ms so and 0.17 ms through np.fft.fftn)."""
-    return transform(np.fft.ifft, m * transform(np.fft.fft, v, axes), axes)
 
 
 def gauduchon_residual(metric: MetricField) -> float:
@@ -93,7 +87,7 @@ def gauduchon_residual(metric: MetricField) -> float:
     if n == 1:
         return 0.0
     terms, _ = _multiplier(metric)
-    ddbar = sum(_filter(axes, m, a) for axes, a, m in terms)
+    ddbar = sum(along(a, *ops) for a, ops in terms)
     scale = metric.det.mean() ** ((n - 1) / n)
     return factorial(n - 1) / 4 * float(np.abs(ddbar).max()) / scale
 
@@ -104,18 +98,18 @@ def apply_Q(metric: MetricField, phi: np.ndarray) -> np.ndarray:
         raise ValidationError("Q is identically zero for n = 1; every metric is "
                               "affine Gauduchon")
     terms, d = _multiplier(metric)
-    return sum(_filter(axes, m, a * phi) for axes, a, m in terms) / d
+    return sum(along(a * phi, *ops) for a, ops in terms) / d
 
 
 def apply_QH(metric: MetricField, psi: np.ndarray) -> np.ndarray:
-    """Exact Euclidean adjoint of the discrete Q (not the continuum Q*).
+    """Euclidean adjoint of the discrete Q (not the continuum Q*), to round-off.
 
-    The steps of apply_Q in reverse: a, m and d are real and fft^H is P ifft
-    on P grid points, so Q^H psi = sum a ifft_axes(m fft_axes(psi / d)).
+    The steps of apply_Q in reverse: a and d are real, D2 is Hermitian and
+    D anti-Hermitian, so Q^H psi = sum a along(psi / d, *ops).
     """
     terms, d = _multiplier(metric)
     psi = psi / d
-    return sum(a * _filter(axes, m, psi) for axes, a, m in terms)
+    return sum(a * along(psi, *ops) for a, ops in terms)
 
 
 def apply_Qstar(metric: MetricField, psi: np.ndarray) -> np.ndarray:
@@ -207,12 +201,34 @@ def kernel_singular_values(metric: MetricField, phi: np.ndarray, Q) -> tuple[flo
     return float(np.sqrt(max(lam, 0.0))), float(np.sqrt(lam_max)), work
 
 
+def conformal_inverse(metric: MetricField, beta: float):
+    """The inverse of phi -> Q phi + beta mean(phi) when det g g^{-1} =
+    alpha Abar, alpha = det(g)^{(n-1)/n} and Abar the grid mean of
+    det g g^{-1} / alpha, as for every conformally flat g.  Then Q phi =
+    L(alpha phi) / d with d = 4n det g and L = Abar^{ij} d_i d_j; every L u
+    has grid mean zero, so beta mean(phi) = mean(d r) / mean(d), and
+    alpha phi is L^{-1} of the rest plus the constant giving that mean."""
+    torus, n = metric.torus, metric.torus.dim
+    d = 4 * n * metric.det
+    alpha = metric.det ** ((n - 1) / n)
+    Abar = (metric.inv * (metric.det / alpha)[..., None, None]).reshape(-1, n, n).mean(axis=0)
+    s = np.meshgrid(*(torus.derivative_symbol(),) * n, indexing="ij")
+    divide = torus.fft_divider(-sum(Abar[i, j] * s[i] * s[j] for i in range(n) for j in range(n)))
+
+    def solve(r):
+        mu = (d * r).mean() / d.mean()
+        u = divide(d * (r - mu))
+        return (u + (mu / beta - (u / alpha).mean()) / (1 / alpha).mean()) / alpha
+    return solve
+
+
 def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     """Positive kernel element of Q, normalized, with the rescaled metric.
 
-    Solves (Q + mean) phi = 1 by ``krylov.gmres`` to relative residual 1e-12
-    within eight cycles of 50 (``converged`` says if it got there); since
-    the volume weights annihilate Q from the left, phi has mean one and
+    Solves (Q + beta mean) phi = 1, beta = mean(det g)^{-1/n} scaling with
+    Q, by ``krylov.gmres`` preconditioned with ``conformal_inverse``, to
+    relative residual 1e-12 within eight cycles of 50 (``converged`` says if
+    it got there); the volume weights annihilate Q from the left, so
     Q phi = 0.  Raises KernelNotOneDimensional if a second near-null
     direction exists, then NoPositiveKernel unless phi is real and of one
     sign.
@@ -234,11 +250,10 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
                                q_residual=q_res, kernel_gap=np.inf,
                                already_gauduchon=True, q_applications=applications)
 
-    # Q's principal symbol; zero where the mean term acts alone
-    symbol = -laplacian_symbol(metric) / n
-    x, info, steps = krylov.gmres(torus.raveled(lambda v: Q(v) + v.mean()),
+    beta = metric.det.mean() ** (-1 / n)
+    x, info, steps = krylov.gmres(torus.raveled(lambda v: Q(v) + beta * v.mean()),
                                   np.ones(torus.n_points, dtype=complex),
-                                  torus.raveled(torus.fft_divider(symbol)),
+                                  torus.raveled(conformal_inverse(metric, beta)),
                                   rtol=1e-12, maxiter=8)
     if not 0.0 < np.linalg.norm(x) < np.inf:
         # (Q + mean) v = 0 forces mean(v) = 0 and Q v = 0

@@ -11,16 +11,23 @@ Two derivative backends sit behind the same signature:
 ``fd``
     second-order central differences with periodic wrap.
 ``spectral``
-    trigonometric interpolation via FFT.  The Nyquist mode keeps numpy's
-    native frequency -N/2.  The asymmetric choice matters: it leaves the
+    trigonometric interpolation.  The Nyquist mode keeps numpy's native
+    frequency -N/2.  The asymmetric choice matters: it leaves the
     derivative with a one-dimensional kernel (constants), so second-order
     compositions such as the Gauduchon operator do not pick up spurious
     grid-scale null vectors at even N.
+
+Both apply a derivative along an axis as an N x N matrix by one matmul
+(Trefethen, *Spectral Methods in MATLAB*, 2000, ch. 3), cheaper than an FFT
+pair on grids of a few dozen points.  ``fft_divider`` stays on the FFT: a dense
+DFT leaks round-off into the mean mode, which the continuation divides by eps.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -50,7 +57,6 @@ class AffineTorus:
             *(np.arange(resolution) / resolution for _ in range(dim)), indexing="ij"
         )
         self._coords = tuple(axes)
-        self._derivative_multipliers = {}   # (axis, ndim) -> i s along axis
         # the grid axes in np.fft.fftn's order: its transforms, without its set-up
         self.fftn_axes = tuple(range(dim - 1, -1, -1))
 
@@ -73,7 +79,8 @@ class AffineTorus:
         """d/dx^axis of a periodic grid function.
 
         ``values`` may carry trailing non-grid axes.  Exact for band-limited
-        data under the spectral backend, O(N^-2) for the fd backend.
+        data under the spectral backend, O(N^-2) for the fd backend; exactly
+        zero on fields constant along the axis (``along``).
         """
         self._check_axis(axis)
         values = np.asarray(values)
@@ -81,17 +88,20 @@ class AffineTorus:
             raise ValidationError(
                 f"field shape {values.shape} does not start with {self.grid_shape}"
             )
+        return along(values, (axis, self.derivative_matrices[0]))
+
+    @cached_property
+    def derivative_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(D, D2), the N x N matrices of d/dx and d^2/dx^2 along an axis:
+        the fd stencil and its square, or each spectral one from its own
+        symbol (i s, -s^2) by an FFT pair of the identity, not D2 = D D."""
+        N = self.resolution
         if self.backend == "fd":
-            return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) * (
-                self.resolution / 2.0
-            )
-        key = (axis, values.ndim)
-        if key not in self._derivative_multipliers:
-            shape = [1] * values.ndim
-            shape[axis] = self.resolution
-            self._derivative_multipliers[key] = (1j * self.derivative_symbol()).reshape(shape)
-        vhat = np.fft.fft(values, axis=axis)
-        return np.fft.ifft(vhat * self._derivative_multipliers[key], axis=axis)
+            D = (N / 2) * (np.roll(np.eye(N), 1, axis=1) - np.roll(np.eye(N), -1, axis=1))
+            return D, D @ D
+        s = self.derivative_symbol()[:, None]
+        F = np.fft.fft(np.eye(N), axis=0)
+        return np.fft.ifft(1j * s * F, axis=0), np.fft.ifft(-s**2 * F, axis=0)
 
     def integrate(self, values: np.ndarray) -> complex:
         """Integral over the unit fundamental domain.
@@ -142,6 +152,19 @@ class AffineTorus:
         of raveled vectors."""
         shape = self.grid_shape + tuple(value_shape)
         return lambda v: fn(v.reshape(shape)).ravel()
+
+
+def along(values: np.ndarray, *ops) -> np.ndarray:
+    """``values`` with each (axis, N x N matrix) of ``ops`` applied along its
+    axis by one matmul, after subtracting the slice at index 0 there, so a
+    derivative matrix gives exact zeros on fields constant along the axis
+    (without this, the unipotent blow-up on T^1 N=64 ends in max-iters)."""
+    for axis, matrix in ops:
+        shape = values.shape
+        v = values - values[(slice(None),) * axis + (slice(0, 1),)]
+        v = v.reshape(prod(shape[:axis]), shape[axis], -1)
+        values = (v[..., 0] @ matrix.T if v.shape[2] == 1 else matrix @ v).reshape(shape)
+    return values
 
 
 def transform(fn, values: np.ndarray, axes) -> np.ndarray:

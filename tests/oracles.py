@@ -3,8 +3,9 @@
 The exterior algebra of scalar forms (``wedge`` and the metric form's
 powers) is the oracle for the closed forms the program uses in its place:
 omega^n / nu = n! det g, the Gauduchon residual from Q's terms and the
-degree (1/n) int tr_g(c_1) omega^n / nu.  The h-pairing helpers check the
-bundle's functional calculus.
+degree (1/n) int tr_g(c_1) omega^n / nu.  ``fft_partial`` is the grid
+derivative by one FFT pair, the oracle for the derivative matrices.  The
+h-pairing helpers check the bundle's functional calculus.
 """
 
 from functools import lru_cache
@@ -65,6 +66,15 @@ def omega_pow(metric, k):
     for _ in range(k):
         out = wedge(out, omega(metric))
     return out
+
+
+def fft_partial(torus, values, axis):
+    """d/dx^axis as ifft(i s fft) along the axis, s the backend's
+    ``derivative_symbol``; on fd grids that is the central difference."""
+    shape = [1] * values.ndim
+    shape[axis] = torus.resolution
+    multiplier = (1j * torus.derivative_symbol()).reshape(shape)
+    return np.fft.ifft(multiplier * np.fft.fft(values, axis=axis), axis=axis)
 
 
 def herm_defect(calc, F):

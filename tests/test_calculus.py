@@ -33,7 +33,7 @@ from affinehe.forms import (
     trace_g,
 )
 from affinehe.torus import AffineTorus, random_smooth_scalar
-from oracles import omega_pow, wedge
+from oracles import fft_partial, omega_pow, wedge
 
 
 def random_form(torus, rng, p, q, modes=3):
@@ -178,6 +178,42 @@ def test_partial_sin_oracle(backend):
         assert err <= (2 * np.pi) ** 3 / (6 * N**2)
     else:
         assert err <= 1e-11
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("dim,N", [(1, 32), (1, 15), (2, 16), (2, 9), (3, 12), (3, 9)])
+def test_matrix_partial_matches_fft_oracle(backend, dim, N, rng):
+    # white noise with trailing (n, r, r) value axes reaches every mode,
+    # the Nyquist mode of even grids included
+    t = AffineTorus(dim, N, backend)
+    shape = t.grid_shape + (dim, 2, 2)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for axis in range(dim):
+        expect = fft_partial(t, values, axis)
+        assert np.abs(t.partial(values, axis) - expect).max() <= \
+            1e-13 * N * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("dim,N", [(1, 64), (2, 16), (3, 12), (3, 9)])
+def test_partial_of_a_field_constant_along_the_axis_is_exactly_zero(backend, dim, N, rng):
+    t = AffineTorus(dim, N, backend)
+    shape = t.grid_shape + (2, 2)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for axis in range(dim):
+        constant = np.broadcast_to(values[(slice(None),) * axis + (slice(0, 1),)], shape)
+        assert np.all(t.partial(constant, axis) == 0)
+
+
+def test_conformal_carries_inverse_and_determinant(rng):
+    t = AffineTorus(3, 8)
+    B = rng.standard_normal(t.grid_shape + (3, 3))
+    g = MetricField(t, np.eye(3) + 0.5 * B @ np.swapaxes(B, -1, -2))
+    f = np.exp(random_smooth_scalar(t, rng, real=True).real)
+    scaled = g.conformal(f)
+    inv, det = np.linalg.inv(scaled.g), np.linalg.det(scaled.g)
+    assert np.abs(scaled.inv - inv).max() <= 1e-14 * np.abs(inv).max()
+    assert np.abs(scaled.det - det).max() <= 1e-14 * np.abs(det).max()
 
 
 def test_partial_axis_range():

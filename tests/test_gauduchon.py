@@ -22,12 +22,14 @@ from affinehe.errors import (
     SolverError,
     ValidationError,
 )
-from affinehe.forms import MetricField, div_by_nu, dolbeault_del, dolbeault_delbar, trace_g
+from affinehe.forms import (MetricField, div_by_nu, dolbeault_del, dolbeault_delbar,
+                            laplacian_symbol, trace_g)
 from affinehe.gauduchon import (
     KERNEL_GAP_MIN,
     apply_Q,
     apply_QH,
     apply_Qstar,
+    conformal_inverse,
     find_gauduchon_factor,
     gauduchon_residual,
     kernel_singular_values,
@@ -289,20 +291,28 @@ def test_kernel_certificate_work(monkeypatch):
     assert len(calls) <= 50
 
 
-def test_kernel_solve_restarts_when_gmres_stops_short(monkeypatch):
+def frozen_mean_system(metric):
+    """(matvec, b, psolve) of the bordered kernel system as first solved:
+    border mean(v) (beta = 1) and Q's symbol with g^{-1} frozen at its grid
+    mean as the preconditioner."""
+    t = metric.torus
+    return (t.raveled(lambda v: apply_Q(metric, v) + v.mean()),
+            np.ones(t.n_points, dtype=complex),
+            t.raveled(t.fft_divider(-laplacian_symbol(metric) / t.dim)))
+
+
+def test_kernel_solve_restarts_when_gmres_stops_short():
     # scipy's "exact solution" breakdown test ends its gmres above rtol =
     # 1e-12 on this system; krylov.gmres ends only a cycle there, restarts
     # from the true residual and reaches rtol in the one call
-    solves = record_gmres(monkeypatch)
-    with pytest.raises(KernelNotOneDimensional):     # gap 2.4e-7
-        find_gauduchon_factor(sin_metric(AffineTorus(3, 8), 0.95, axis=1))
-    [(info, res, (matvec, b, psolve, kwargs))] = solves
-    assert info == 0 and res <= 1e-12
+    matvec, b, psolve = frozen_mean_system(sin_metric(AffineTorus(3, 8), 0.95, axis=1))
+    x, info, _ = krylov.gmres(matvec, b, psolve, rtol=1e-12, maxiter=8)
+    assert info == 0 and np.linalg.norm(b - matvec(x)) <= 1e-12 * np.linalg.norm(b)
     n = b.size
     x, scipy_info = scipy.sparse.linalg.gmres(
         scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=complex), b,
         M=scipy.sparse.linalg.LinearOperator((n, n), matvec=psolve, dtype=complex),
-        rtol=kwargs["rtol"], atol=0.0, restart=krylov.RESTART, maxiter=kwargs["maxiter"])
+        rtol=1e-12, atol=0.0, restart=krylov.RESTART, maxiter=8)
     assert scipy_info != 0
     assert np.linalg.norm(b - matvec(x)) / np.linalg.norm(b) > 1e-12
 
@@ -416,15 +426,20 @@ def test_QH_is_adjoint_of_Q_in_the_euclidean_pairing(dim, N, kind):
 
 @pytest.mark.parametrize("dim,N,kind", PAIR_CASES)
 def test_multiplier_keeps_only_nonzero_pairs_on_their_axes(dim, N, kind):
+    # one term per nonzero pair: d_i d_i by the second-derivative matrix
+    # along axis i, d_i d_j (i < j) by the first-derivative matrix along
+    # axis i and then along axis j
     g = pair_case_metric(dim, N, kind)
+    D, D2 = g.torus.derivative_matrices
     terms, _ = gauduchon._multiplier(g)
     pairs = [(i, i) for i in range(dim)] if kind == "diag" else \
         list(zip(*np.triu_indices(dim)))
-    assert [axes for axes, _, _ in terms] == [(i,) if i == j else (i, j)
-                                             for i, j in pairs]
-    for axes, a, m in terms:
+    assert len(terms) == len(pairs)
+    for (a, ops), (i, j) in zip(terms, pairs):
         assert a.shape == g.torus.grid_shape
-        assert m.shape == tuple(N if k in axes else 1 for k in range(dim))
+        assert [axis for axis, _ in ops] == ([i] if i == j else [i, j])
+        assert all(m is (D2 if i == j else D) for _, m in ops)
+    assert D.shape == D2.shape == (N, N)
 
 
 # -- sigma_max^2 by Lanczos ------------------------------------------------------
@@ -587,3 +602,48 @@ def test_gauduchon_decisions_do_not_depend_on_the_metric_scale(dim, N):
         assert np.abs(res.factor - ref.factor).max() <= 1e-10 * np.abs(ref.factor).max()
         assert res.residual <= 1e-8  # the tolerance the CLI reports
         stability_verdict(bundle, t, res.metric)
+
+
+# -- the conformal preconditioner of the kernel solve ------------------------------
+@pytest.mark.parametrize("dim,N", [(2, 16), (3, 12)])
+@pytest.mark.parametrize("c", [1e-6, 1e-4, 1.0, 1e4, 1e6])
+def test_kernel_solve_takes_one_step_on_conformally_flat_metrics(dim, N, c):
+    # the preconditioner inverts Q + beta mean exactly when g is conformally
+    # flat, and beta = mean(det g)^{-1/n} scales with Q under g -> c g
+    t = AffineTorus(dim, N)
+    res = find_gauduchon_factor(MetricField(t, c * sin_metric(t).g))
+    assert res.iterations == 1 and res.converged
+
+
+@pytest.mark.parametrize("N", [9, 10])
+@pytest.mark.parametrize("amplitude", [0.9, 0.95])
+def test_kernel_solve_converges_on_the_sweeps_worst_configs(N, amplitude):
+    # with Q's symbol frozen at the mean of g^{-1} these took 310-400 steps
+    # and ended above rtol
+    for axis in range(3):
+        res = find_gauduchon_factor(sin_metric(AffineTorus(3, N), amplitude, axis))
+        assert res.converged and res.iterations <= 2
+
+
+@pytest.mark.parametrize("G", [np.eye(2), np.array([[2.0, 0.3], [0.3, 1.0]])])
+def test_conformal_inverse_is_the_dense_inverse_of_the_bordered_Q(G):
+    t = AffineTorus(2, 8)
+    c = 1.0 + 0.5 * np.sin(2 * np.pi * t.coordinate(0))
+    g = MetricField(t, c[..., None, None] * G)
+    beta = g.det.mean() ** (-1 / 2)
+    A = assemble_Q(g) + beta / t.n_points
+    M = assemble_Q(g, lambda metric, v: conformal_inverse(metric, beta)(v))
+    inverse = np.linalg.inv(A)
+    assert np.abs(M - inverse).max() <= 1e-12 * np.abs(inverse).max()
+
+
+@pytest.mark.parametrize("metric", [lambda: bbt_metric(AffineTorus(2, 15)),
+                                    lambda: diag_metric(AffineTorus(3, 12))])
+def test_conformal_preconditioner_takes_no_more_steps_than_the_frozen_mean(metric):
+    # neither metric is conformally flat, so neither preconditioner is exact
+    g = metric()
+    matvec, b, psolve = frozen_mean_system(g)
+    _, info, frozen_steps = krylov.gmres(matvec, b, psolve, rtol=1e-12, maxiter=8)
+    res = find_gauduchon_factor(g)
+    assert info == 0 and res.converged
+    assert res.iterations <= frozen_steps
