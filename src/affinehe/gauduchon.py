@@ -228,8 +228,8 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     Solves (Q + beta mean) phi = 1, beta = mean(det g)^{-1/n} scaling with
     Q, by ``krylov.gmres`` preconditioned with ``conformal_inverse``, to
     relative residual 1e-12 within eight cycles of 50 (``converged`` says if
-    it got there); the volume weights annihilate Q from the left, so
-    Q phi = 0.  Raises KernelNotOneDimensional if a second near-null
+    it got there); the volume weights annihilate Q from the left, so phi
+    has mean 1 / beta and Q phi = 0.  Raises KernelNotOneDimensional if a second near-null
     direction exists, then NoPositiveKernel unless phi is real and of one
     sign.
     """
@@ -256,11 +256,10 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
                                   torus.raveled(conformal_inverse(metric, beta)),
                                   rtol=1e-12, maxiter=8)
     if not 0.0 < np.linalg.norm(x) < np.inf:
-        # (Q + mean) v = 0 forces mean(v) = 0 and Q v = 0
+        # (Q + beta mean) v = 0 forces mean(v) = 0 and Q v = 0
         raise KernelNotOneDimensional(
-            "GMRES found no finite nonzero solution of the bordered system "
-            "Q + mean, which is singular exactly when Q has a null vector of "
-            "mean zero")
+            "GMRES found no finite nonzero solution of the bordered system Q + "
+            "beta mean, which is singular exactly when Q has a null vector of mean zero")
     sigma_2, sigma_max, work = kernel_singular_values(metric, x, Q)
     if sigma_2 < KERNEL_GAP_MIN * sigma_max:
         raise KernelNotOneDimensional(

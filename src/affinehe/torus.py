@@ -94,11 +94,12 @@ class AffineTorus:
     def derivative_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """(D, D2), the N x N matrices of d/dx and d^2/dx^2 along an axis:
         the fd stencil and its square, or each spectral one from its own
-        symbol (i s, -s^2) by an FFT pair of the identity, not D2 = D D."""
+        symbol (i s, -s^2) by an FFT pair of the identity, not D2 = D D;
+        complex, as a real one times a complex field misses BLAS."""
         N = self.resolution
         if self.backend == "fd":
             D = (N / 2) * (np.roll(np.eye(N), 1, axis=1) - np.roll(np.eye(N), -1, axis=1))
-            return D, D @ D
+            return D + 0j, D @ D + 0j
         s = self.derivative_symbol()[:, None]
         F = np.fft.fft(np.eye(N), axis=0)
         return np.fft.ifft(1j * s * F, axis=0), np.fft.ifft(-s**2 * F, axis=0)

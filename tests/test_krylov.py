@@ -168,7 +168,7 @@ def gauduchon_kernel_solve(metric):
                                     lambda: bbt_metric(AffineTorus(2, 16))],
                          ids=["gauduchon_t3_seed1", "complex_bbt_T2_N16"])
 def test_gmres_matches_scipy_on_the_gauduchon_kernel_solve(metric):
-    # the bordered system (Q + mean) phi = 1 of the gauduchon_t3 seed 1
+    # the bordered system (Q + beta mean) phi = 1 of the gauduchon_t3 seed 1
     # input, and a complex one (a nondiagonal metric at even N): scipy's
     # gmres takes the same steps to the same solution
     matvec, b, psolve, kwargs = captured_system(gauduchon_kernel_solve(metric()), "gmres")
