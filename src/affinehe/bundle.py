@@ -15,9 +15,10 @@ correction terms
     (d_k F)_gauge = D_k F_gauge + [B_k, F_gauge],
     (d_k H)_gauge = D_k H_gauge - B_k^dag H_gauge - H_gauge B_k.
 
-End(E)-valued forms (connections, curvatures, del_0 of endomorphism fields)
-are ``forms.Form`` objects that carry the bundle; the Dolbeault operators
-apply the first correction to them, and ``d_herm`` applies the second.
+``d_end`` applies the first correction and ``d_herm`` the second.  End(E)-valued
+fields are arrays with trailing (r, r) axes, and End(E)-valued (1,0)-forms
+(connections, del_0 of endomorphism fields) arrays of their coefficients with
+trailing (n, r, r) axes; ``end_delbar`` contracts delbar of one with g^{-1}.
 
 The flat frame is materialized only at the edges (I/O, wrap-semantics checks).
 This storage also keeps the exponentially separated eigenvalue scales of
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NonCommuting, NonHPD, Singular, ValidationError
-from .forms import Form, MetricField, dolbeault_del, dolbeault_delbar, trace_g
+from .forms import Form, MetricField, dolbeault_del, dolbeault_delbar
 from .torus import AffineTorus
 
 
@@ -167,6 +168,17 @@ class GaugeData:
 # derivatives of twisted fields (gauge representation)
 # ---------------------------------------------------------------------------
 
+def d_end(bundle: FlatBundle, torus: AffineTorus, F: np.ndarray, axis: int) -> np.ndarray:
+    """Flat-frame d/dx^axis of endomorphism fields (trailing (r, r) axes), in
+    the gauge: D_k F + [B_k, F], the commutator one r^2 x r^2 contraction
+    with the cached ad(B_k), skipped where B_k = 0."""
+    d = torus.partial(F, axis)
+    ad = bundle.ad_logs[axis]
+    if ad is None:
+        return d
+    return d + (F.reshape(-1, ad.shape[0]) @ ad.T).reshape(F.shape)
+
+
 def d_herm(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray, axis: int) -> np.ndarray:
     """Flat-frame d/dx^axis of a bundle metric field, in the gauge."""
     B = bundle.logs[axis]
@@ -267,37 +279,41 @@ def random_hermitian_metric(bundle: FlatBundle, torus: AffineTorus, rng,
     return (U * np.exp(w)[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
 
 
-def end_delbar(ef: Form) -> Form:
-    """delbar of an End-valued form (the matvec path's entry point)."""
-    return dolbeault_delbar(ef)
+def end_delbar(metric: MetricField, bundle: FlatBundle, a: np.ndarray) -> np.ndarray:
+    """tr_g delbar of the End-valued (1,0)-form with coefficients a (grid +
+    (n, r, r)): -(1/2) sum g^{ij} (D_j a_i + [B_j, a_i]), summed in row-major
+    order over the pairs (i, j) where g^{ij} is not identically zero, so a
+    diagonal g differentiates n fields where the full form has n^2."""
+    torus, pairs = metric.torus, metric.inv_pairs
+    terms = {}
+    for j in range(torus.dim):
+        rows = [i for i, k in pairs if k == j]
+        d = -0.5 * d_end(bundle, torus, a[..., rows, :, :], j)
+        terms.update({(i, j): d[..., m, :, :] for m, i in enumerate(rows)})
+    out = torus.zeros(*a.shape[-2:])
+    for i, j in pairs:
+        out += metric.inv[..., i, j, None, None] * terms[i, j]
+    return out
 
 
 def hermitian_connection(bundle: FlatBundle, torus: AffineTorus,
-                         H: np.ndarray) -> Form:
-    """Connection form theta = h^{-1} del h as an End-valued (1,0)-form.
+                         H: np.ndarray) -> np.ndarray:
+    """Connection form theta = h^{-1} del h, its coefficients grid + (n, r, r).
 
     One formula at every rank: the flat-frame derivative of the gauge-stored
     H (``d_herm``), so at rank 1 the constant twist term -2 Re B_k is the
     slope of log h along axis k.
     """
     check_hpd(H)
-    out = Form.zero(torus, 1, 0, bundle)
     Hinv = np.linalg.inv(H)
-    for k in range(torus.dim):
-        out.coeffs[..., k, 0, :, :] = pmul(Hinv, 0.5 * d_herm(bundle, torus, H, k))
-    return out
-
-
-def extended_curvature(bundle: FlatBundle, torus: AffineTorus,
-                       H: np.ndarray) -> Form:
-    """Curvature Omega = delbar theta, an End-valued (1,1)-form."""
-    return end_delbar(hermitian_connection(bundle, torus, H))
+    return np.stack([pmul(Hinv, 0.5 * d_herm(bundle, torus, H, k))
+                     for k in range(torus.dim)], axis=-3)
 
 
 def mean_curvature(metric: MetricField, bundle: FlatBundle, torus: AffineTorus,
                    H: np.ndarray) -> np.ndarray:
-    """Extended mean curvature K = g^{ij} R_{ij}; EndField (gauge)."""
-    return trace_g(metric, extended_curvature(bundle, torus, H))
+    """Extended mean curvature K = g^{ij} R_{ij} = tr_g delbar theta; EndField (gauge)."""
+    return end_delbar(metric, bundle, hermitian_connection(bundle, torus, H))
 
 
 def first_chern_form(bundle: FlatBundle, torus: AffineTorus,
@@ -318,27 +334,28 @@ class Del0:
     theta_0: component k is (1/2) D_k phi + A_k phi, with the pointwise
     r^2 x r^2 table A_k(x) = ad(theta_0,k(x)) + (1/2) ad(B_k) built once."""
 
-    def __init__(self, bundle: FlatBundle, torus: AffineTorus, theta0: Form):
-        if (theta0.p, theta0.q) != (1, 0):
-            raise ValidationError("theta0 must be an End-valued (1,0)-form")
+    def __init__(self, bundle: FlatBundle, torus: AffineTorus, theta0: np.ndarray):
         self.bundle, self.torus = bundle, torus
         r, eye = bundle.rank, np.eye(bundle.rank)
-        th = theta0.coeffs[..., 0, :, :]  # grid + (n, r, r)
-        ad_th = np.einsum("...ac,bd->...abcd", th, eye) - np.einsum("ac,...db->...abcd", eye, th)
+        if theta0.shape != torus.grid_shape + (torus.dim, r, r):
+            raise ValidationError("theta0 must be End-valued (1,0)-form coefficients")
+        ad_th = (np.einsum("...ac,bd->...abcd", theta0, eye)
+                 - np.einsum("ac,...db->...abcd", eye, theta0))
         ad_B = [np.zeros((r * r,) * 2) if B is None else B for B in bundle.ad_logs]
-        self.table = ad_th.reshape(th.shape[:-2] + (r * r,) * 2) + 0.5 * np.stack(ad_B)
+        self.table = ad_th.reshape(theta0.shape[:-2] + (r * r,) * 2) + 0.5 * np.stack(ad_B)
 
-    def __call__(self, phi: np.ndarray) -> Form:
+    def __call__(self, phi: np.ndarray) -> np.ndarray:
+        """The coefficients of del_0 phi, grid + (n, r, r)."""
         d = np.stack([self.torus.partial(phi, k) for k in range(self.torus.dim)], axis=-3)
         vec = phi.reshape(phi.shape[:-2] + (-1,))
-        coeffs = 0.5 * d + np.einsum("...kij,...j->...ki", self.table, vec).reshape(d.shape)
-        return Form(self.torus, 1, 0, coeffs[..., None, :, :], self.bundle)
+        return 0.5 * d + np.einsum("...kij,...j->...ki", self.table, vec).reshape(d.shape)
 
 
 def covariant_del0(bundle: FlatBundle, torus: AffineTorus, theta0,
-                   phi: np.ndarray) -> Form:
-    """del_0 phi = del phi + [theta_0, phi] for an endomorphism field phi;
-    ``theta0`` is the (1,0)-form theta_0, or a ``Del0`` built from it once."""
+                   phi: np.ndarray) -> np.ndarray:
+    """The coefficients of del_0 phi = del phi + [theta_0, phi] for an
+    endomorphism field phi; ``theta0`` holds those of theta_0, or is a
+    ``Del0`` built from them once."""
     op = theta0 if isinstance(theta0, Del0) else Del0(bundle, torus, theta0)
     return op(phi)
 
@@ -365,6 +382,7 @@ class HermCalculus:
 
     def adjoint(self, F: np.ndarray) -> np.ndarray:
         """h-adjoint F^* = h^{-1} F^dag h."""
+        # h^{-1} F^dag h directly sends test_conjugated_unipotent_blows_up_to_P_e1 to max-iters
         Fd = np.conj(np.swapaxes(F, -1, -2))
         return pmul(self.isqrt, pmul(self.isqrt, Fd, self.sqrt), self.sqrt)
 
@@ -416,16 +434,11 @@ class HermCalculus:
     def sup_norm(self, F: np.ndarray) -> float:
         return float(self.norm(F).max())
 
-    def form_norm_sq(self, metric: MetricField, a: Form) -> np.ndarray:
-        """|a|^2 = g^{ij} tr(a_i a_j^*) for an End-valued (1,0)-form."""
-        if (a.p, a.q) != (1, 0):
-            raise ValidationError("form_norm_sq expects a (1,0) End-form")
-        n = a.torus.dim
-        out = np.zeros(a.torus.grid_shape, dtype=complex)
-        adj = [self.adjoint(a.coeffs[..., j, 0, :, :]) for j in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out += metric.inv[..., i, j] * np.einsum(
-                    "...ab,...ba->...", a.coeffs[..., i, 0, :, :], adj[j]
-                )
+    def form_norm_sq(self, metric: MetricField, a: np.ndarray) -> np.ndarray:
+        """|a|^2 = g^{ij} tr(a_i a_j^*) for End-valued (1,0)-form
+        coefficients a (grid + (n, r, r)), over the nonzero g^{ij}."""
+        adj = [self.adjoint(a[..., j, :, :]) for j in range(metric.torus.dim)]
+        out = np.zeros(metric.torus.grid_shape, dtype=complex)
+        for i, j in metric.inv_pairs:
+            out += metric.inv[..., i, j] * np.einsum("...ab,...ba->...", a[..., i, :, :], adj[j])
         return out.real

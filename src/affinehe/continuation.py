@@ -36,7 +36,7 @@ from .bundle import (
     pmul,
 )
 from .errors import Diverged, LinearSolveStagnation, PoissonSolveFailed, ValidationError
-from .forms import Form, MetricField, laplacian_symbol, laplacian_type, trace_g
+from .forms import MetricField, laplacian_symbol, laplacian_type
 from .gauduchon import pairing
 from .stability import degree
 from .torus import AffineTorus
@@ -148,7 +148,7 @@ class Evaluation:
     U: np.ndarray             # their h_0-orthonormal frame
     logf: np.ndarray          # log f
     finv: np.ndarray          # f^{-1}
-    finv_d0f: np.ndarray      # f^{-1} del_0 f, (1,0)-form coefficients
+    finv_d0f: np.ndarray      # f^{-1} del_0 f, (1,0)-form coefficients grid + (n, r, r)
     L: np.ndarray             # L_eps(f)
     res: float                # sup_x |L_eps(f)|_{h_0}
 
@@ -159,7 +159,7 @@ class Linearization:
 
     eps: float
     finv: np.ndarray          # f^{-1}
-    finv_d0f: np.ndarray      # f^{-1} del_0 f, (1,0)-form coefficients
+    finv_d0f: np.ndarray      # f^{-1} del_0 f, (1,0)-form coefficients grid + (n, r, r)
     sqrt_f: np.ndarray        # f^{1/2} (h_0-functional calculus)
     dlog: Callable | None     # Phi -> Dlog_f[Phi]; None at eps = 0
 
@@ -176,7 +176,7 @@ class ContinuationProblem:
         self.calc0 = HermCalculus(H0)
         theta0 = hermitian_connection(bundle, torus, H0)
         self.del0 = Del0(bundle, torus, theta0)
-        self.K0 = trace_g(gG, end_delbar(theta0))
+        self.K0 = end_delbar(gG, bundle, theta0)
         self.eye = np.eye(bundle.rank)
         self.K0_shift = self.K0 - gamma * self.eye
         # symbol of -tr_g delbar del_0 at f = I
@@ -186,10 +186,6 @@ class ContinuationProblem:
                          lgmres_unconverged=0, eps_backtracks=0, line_search_trials=0)
 
     # -- residual ----------------------------------------------------------
-    def _trace_delbar(self, coeffs: np.ndarray) -> np.ndarray:
-        """tr_g delbar of the End-valued (1,0)-form with these coefficients."""
-        return trace_g(self.gG, end_delbar(Form(self.torus, 1, 0, coeffs, self.bundle)))
-
     def spectrum(self, f: np.ndarray):
         """The h_0-eigendecomposition (w, U) of f and log f from it."""
         w, U = self.calc0.eig(f)
@@ -208,8 +204,8 @@ class ContinuationProblem:
         w, U, logf = self.spectrum(f)
         finv = np.linalg.inv(f)
         d0f = covariant_del0(self.bundle, self.torus, self.del0, f)
-        finv_d0f = pmul(finv[..., None, None, :, :], d0f.coeffs)
-        L = self.K0_shift + self._trace_delbar(finv_d0f) + eps * logf
+        finv_d0f = pmul(finv[..., None, :, :], d0f)
+        L = self.K0_shift + end_delbar(self.gG, self.bundle, finv_d0f) + eps * logf
         return Evaluation(f, eps, w, U, logf, finv, finv_d0f, L, self.calc0.sup_norm(L))
 
     def m_and_det_defect(self, w: np.ndarray, logf: np.ndarray) -> tuple[float, float]:
@@ -233,9 +229,8 @@ class ContinuationProblem:
         """The Krylov matvec: the derivative of L_eps at the f frozen in ``lin``
         along phi, tr_g delbar (f^{-1}(del_0 phi - phi f^{-1} del_0 f)) + eps Dlog_f[phi]."""
         d0phi = covariant_del0(self.bundle, self.torus, self.del0, phi)
-        a = pmul(lin.finv[..., None, None, :, :],
-                 d0phi.coeffs - pmul(phi[..., None, None, :, :], lin.finv_d0f))
-        out = self._trace_delbar(a)
+        a = pmul(lin.finv[..., None, :, :], d0phi - pmul(phi[..., None, :, :], lin.finv_d0f))
+        out = end_delbar(self.gG, self.bundle, a)
         if lin.dlog is not None:
             out = out + lin.eps * lin.dlog(phi)
         return out

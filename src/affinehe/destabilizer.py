@@ -22,6 +22,7 @@ from .bundle import (
     FlatBundle,
     HermCalculus,
     covariant_del0,
+    d_end,
     end_delbar,
     hermitian_connection,
     mean_curvature,
@@ -34,7 +35,7 @@ from .errors import (
     SlopeInequalityViolated,
     ValidationError,
 )
-from .forms import Form, MetricField, dolbeault_delbar, trace_g
+from .forms import MetricField
 from .stability import (
     INVARIANCE_TOL,
     FlatSubbundle,
@@ -101,9 +102,8 @@ def validate_projection(bundle: FlatBundle, torus: AffineTorus,
     d_pi2 = supfro(pi @ pi - pi)
     d_adj = supfro(calc.adjoint(pi) - pi)
 
-    dbar = dolbeault_delbar(Form.from_end(torus, bundle, pi))
     comp = np.eye(r) - pi
-    d_dbar = max(0.0, *(supfro(comp @ dbar.coeffs[..., 0, kax, :, :])
+    d_dbar = max(0.0, *(supfro(comp @ (0.5 * d_end(bundle, torus, pi, kax)))
                         for kax in range(torus.dim)))
 
     # image subbundle in the flat frame: orthogonal projector onto im(pi)
@@ -226,7 +226,7 @@ def destabilizing_report(bundle: FlatBundle, torus: AffineTorus,
     tr_KF = torus.integrate(np.einsum("...aa->...", KF) * w).real
 
     theta0 = hermitian_connection(bundle, torus, H0)
-    K0 = trace_g(gG, end_delbar(theta0))
+    K0 = end_delbar(gG, bundle, theta0)
     d0pi = covariant_del0(bundle, torus, theta0, pi)
     a_norm2 = calc.form_norm_sq(gG, d0pi)
     tr_formula = torus.integrate(

@@ -1,30 +1,27 @@
-"""(p,q)-forms on the discrete affine torus, scalar or End(E)-valued.
+"""Scalar (p,q)-forms on the discrete affine torus, and the metric g.
 
 A (p,q)-form is stored densely as a complex array of shape
-``grid_shape + (C(n,p), C(n,q)) + value_shape`` over increasing
-multi-indices.  ``value_shape`` is ``()`` for scalar forms and ``(r, r)``
-for End(E)-valued forms of a rank-r flat bundle, whose coefficients live in
-the bundle's periodic gauge.  The two Dolbeault operators act by
+``grid_shape + (C(n,p), C(n,q))`` over increasing multi-indices.  The two
+Dolbeault operators act by
 
     del    = (1/2) (d (x) I)          on the first slot,
     delbar = (-1)^p (1/2) (I (x) d)   on the second slot,
 
-where d_k is the grid partial for scalar forms and the flat-frame
-derivative D_k F + [B_k, F] (B_k = log rho_k) for End-valued ones.  The
-commutator is one r^2 x r^2 contraction with the bundle's cached ad(B_k),
-skipped on axes where B_k = 0.
+with d_k the grid partial.  End(E)-valued fields are not forms: the bundle
+module holds them, and (1,0)-forms of them, as plain arrays with trailing
+``(r, r)`` and ``(n, r, r)`` axes.
 
-On scalar forms, conjugation maps a (p,q)-form to a (q,p)-form with the
-sign (-1)^{pq}.  Division of an (n,n)-form by the parallel volume form uses
-the sign (-1)^{n(n-1)/2}, which makes omega_g^n / nu = n! det g positive
-for positive definite g.
+Conjugation maps a (p,q)-form to a (q,p)-form with the sign (-1)^{pq}.
+Division of an (n,n)-form by the parallel volume form uses the sign
+(-1)^{n(n-1)/2}, which makes omega_g^n / nu = n! det g positive for
+positive definite g.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -72,27 +69,20 @@ def _derivative_table(n: int, p: int):
     return tuple(table)
 
 
-def _value_shape(bundle) -> tuple[int, ...]:
-    return () if bundle is None else (bundle.rank,) * 2
-
-
 @dataclass
 class Form:
-    """(p,q)-form with dense increasing-multi-index storage; End(E)-valued
-    (in the periodic gauge) when ``bundle`` is given."""
+    """Scalar (p,q)-form with dense increasing-multi-index storage."""
 
     torus: AffineTorus
     p: int
     q: int
-    coeffs: np.ndarray  # grid_shape + (C(n,p), C(n,q)) + value_shape, complex
-    bundle: object = None  # FlatBundle of the End(E) values, or None
+    coeffs: np.ndarray  # grid_shape + (C(n,p), C(n,q)), complex
 
     def __post_init__(self):
         n = self.torus.dim
         if not (0 <= self.p <= n and 0 <= self.q <= n):
             raise ValidationError(f"degree ({self.p},{self.q}) out of range for n={n}")
-        want = (self.torus.grid_shape + (comb(n, self.p), comb(n, self.q))
-                + _value_shape(self.bundle))
+        want = self.torus.grid_shape + (comb(n, self.p), comb(n, self.q))
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != want:
             raise ValidationError(
@@ -100,23 +90,16 @@ class Form:
             )
 
     @classmethod
-    def zero(cls, torus: AffineTorus, p: int, q: int, bundle=None) -> "Form":
+    def zero(cls, torus: AffineTorus, p: int, q: int) -> "Form":
         n = torus.dim
-        return cls(torus, p, q,
-                   torus.zeros(comb(n, p), comb(n, q), *_value_shape(bundle)), bundle)
+        return cls(torus, p, q, torus.zeros(comb(n, p), comb(n, q)))
 
     @classmethod
     def from_scalar(cls, torus: AffineTorus, values: np.ndarray) -> "Form":
         return cls(torus, 0, 0, np.asarray(values, dtype=complex)[..., None, None])
 
-    @classmethod
-    def from_end(cls, torus: AffineTorus, bundle, F: np.ndarray) -> "Form":
-        """The End-valued (0,0)-form of a gauge-stored endomorphism field."""
-        return cls(torus, 0, 0, np.asarray(F, dtype=complex)[..., None, None, :, :],
-                   bundle)
-
     def _new(self, coeffs: np.ndarray) -> "Form":
-        return Form(self.torus, self.p, self.q, coeffs, self.bundle)
+        return Form(self.torus, self.p, self.q, coeffs)
 
     def __add__(self, other: "Form") -> "Form":
         self._same_degree(other)
@@ -139,26 +122,11 @@ class Form:
         return self._new(-self.coeffs)
 
     def _same_degree(self, other: "Form"):
-        if ((self.p, self.q) != (other.p, other.q) or self.torus is not other.torus
-                or self.bundle is not other.bundle):
+        if (self.p, self.q) != (other.p, other.q) or self.torus is not other.torus:
             raise ValidationError("forms live on different spaces or degrees")
 
     def sup_norm(self) -> float:
         return float(np.abs(self.coeffs).max())
-
-
-def _require_scalar(*forms: Form):
-    if any(f.bundle is not None for f in forms):
-        raise ValidationError("operation defined for scalar forms only")
-
-
-def _flat_partial(omega: Form, values: np.ndarray, axis: int) -> np.ndarray:
-    """Flat-frame d/dx^axis of coefficient values of omega."""
-    d = omega.torus.partial(values, axis)
-    ad = None if omega.bundle is None else omega.bundle.ad_logs[axis]
-    if ad is None:
-        return d
-    return d + (values.reshape(-1, ad.shape[0]) @ ad.T).reshape(values.shape)
 
 
 def dolbeault_del(omega: Form) -> Form:
@@ -166,12 +134,12 @@ def dolbeault_del(omega: Form) -> Form:
     n, p, q = omega.torus.dim, omega.p, omega.q
     if p >= n:
         warnings.warn("del of a top-degree form vanishes identically")
-        return Form.zero(omega.torus, p, q, omega.bundle)
+        return Form.zero(omega.torus, p, q)
     grid = (slice(None),) * n
-    out = Form.zero(omega.torus, p + 1, q, omega.bundle)
+    out = Form.zero(omega.torus, p + 1, q)
     for axis, i_in, i_out, sgn in _derivative_table(n, p):
-        out.coeffs[grid + (i_out,)] += (0.5 * sgn) * _flat_partial(
-            omega, omega.coeffs[grid + (i_in,)], axis
+        out.coeffs[grid + (i_out,)] += (0.5 * sgn) * omega.torus.partial(
+            omega.coeffs[grid + (i_in,)], axis
         )
     return out
 
@@ -181,20 +149,19 @@ def dolbeault_delbar(omega: Form) -> Form:
     n, p, q = omega.torus.dim, omega.p, omega.q
     if q >= n:
         warnings.warn("delbar of a top-degree form vanishes identically")
-        return Form.zero(omega.torus, p, q, omega.bundle)
+        return Form.zero(omega.torus, p, q)
     sign_p = (-1) ** p
     grid = (slice(None),) * n
-    out = Form.zero(omega.torus, p, q + 1, omega.bundle)
+    out = Form.zero(omega.torus, p, q + 1)
     for axis, j_in, j_out, sgn in _derivative_table(n, q):
-        out.coeffs[grid + (slice(None), j_out)] += (0.5 * sign_p * sgn) * _flat_partial(
-            omega, omega.coeffs[grid + (slice(None), j_in)], axis
+        out.coeffs[grid + (slice(None), j_out)] += (0.5 * sign_p * sgn) * omega.torus.partial(
+            omega.coeffs[grid + (slice(None), j_in)], axis
         )
     return out
 
 
 def conjugate_form(omega: Form) -> Form:
     """conj(alpha (x) beta) = (-1)^{pq} conj(beta) (x) conj(alpha): (p,q) -> (q,p)."""
-    _require_scalar(omega)
     sign = (-1) ** (omega.p * omega.q)
     coeffs = sign * np.conj(np.swapaxes(omega.coeffs, -1, -2))
     return Form(omega.torus, omega.q, omega.p, coeffs)
@@ -202,7 +169,6 @@ def conjugate_form(omega: Form) -> Form:
 
 def div_by_nu(chi: Form) -> np.ndarray:
     """Divide an (n,n)-form by the parallel volume form; scalar field out."""
-    _require_scalar(chi)
     n = chi.torus.dim
     if (chi.p, chi.q) != (n, n):
         raise ValidationError(f"div_by_nu needs degree ({n},{n}), got ({chi.p},{chi.q})")
@@ -245,6 +211,12 @@ class MetricField:
             self._det = np.linalg.det(self.g)
         return self._det
 
+    @cached_property
+    def inv_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The index pairs (i, j), row-major, where g^{ij} is not identically zero."""
+        n = self.torus.dim
+        return tuple((i, j) for i in range(n) for j in range(n) if self.inv[..., i, j].any())
+
     def volume_density(self) -> np.ndarray:
         """omega^n / nu = n! det g, a positive scalar field."""
         return factorial(self.torus.dim) * self.det
@@ -265,11 +237,10 @@ class MetricField:
 
 
 def trace_g(metric: MetricField, T: Form) -> np.ndarray:
-    """g^{ij} T_{i jbar} for a (1,1)-form; pointwise values (scalar or End)."""
+    """g^{ij} T_{i jbar} for a (1,1)-form; scalar field."""
     if (T.p, T.q) != (1, 1):
         raise ValidationError(f"trace_g needs a (1,1)-form, got ({T.p},{T.q})")
-    v = "" if T.bundle is None else "ab"
-    return np.einsum(f"...ij,...ij{v}->...{v}", metric.inv, T.coeffs)
+    return np.einsum("...ij,...ij->...", metric.inv, T.coeffs)
 
 
 def laplacian_type(metric: MetricField, psi: np.ndarray) -> np.ndarray:

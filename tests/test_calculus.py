@@ -9,8 +9,8 @@ from affinehe.bundle import (
     HermCalculus,
     build_bundle,
     covariant_del0,
+    d_end,
     d_herm,
-    end_delbar,
     hermitian_connection,
     pmul,
     random_hermitian_metric,
@@ -21,7 +21,6 @@ from affinehe.errors import LinearSolveStagnation, ValidationError
 from affinehe.forms import (
     Form,
     MetricField,
-    _flat_partial,
     conjugate_form,
     div_by_nu,
     dolbeault_del,
@@ -33,7 +32,7 @@ from affinehe.forms import (
     trace_g,
 )
 from affinehe.torus import AffineTorus, random_smooth_scalar
-from oracles import fft_partial, omega_pow, wedge
+from oracles import EndForm, end_delbar, end_trace_g, fft_partial, omega_pow, wedge
 
 
 def random_form(torus, rng, p, q, modes=3):
@@ -66,20 +65,19 @@ def test_end_derivatives_match_matmul_reference(r, rng):
     H = random_hermitian_metric(b, t, rng, amplitude=0.3, modes=1)
     theta = hermitian_connection(b, t, H)
     d0 = covariant_del0(b, t, theta, V)
-    omega = Form.from_end(t, b, V)
     for k in range(3):
         B = b.logs[k]
         flat = t.partial(V, k) + B @ V - V @ B
-        got = _flat_partial(omega, V, k)
+        got = d_end(b, t, V, k)
         assert np.abs(got - flat).max() <= 1e-13 * np.abs(flat).max()
-        th = theta.coeffs[..., k, 0, :, :]
+        th = theta[..., k, :, :]
         ref = 0.5 * flat + th @ V - V @ th
-        got = d0.coeffs[..., k, 0, :, :]
+        got = d0[..., k, :, :]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         ref = t.partial(H, k) - np.conj(B.T) @ H - H @ B
         assert np.abs(d_herm(b, t, H, k) - ref).max() <= 1e-13 * np.abs(ref).max()
         ref = np.linalg.inv(H) @ (0.5 * ref)
-        assert np.abs(theta.coeffs[..., k, 0, :, :] - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(theta[..., k, :, :] - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def close(got, ref):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -121,8 +119,8 @@ def test_end_derivatives_match_matmul_reference(r, rng):
         with pytest.raises(LinearSolveStagnation):
             prob.solve_newton_direction(lin, V, 1e-8)
     finv = np.linalg.inv(f)
-    d0f = covariant_del0(b, t, theta, f).coeffs
-    finv_d0f = finv[..., None, None, :, :] @ d0f
+    d0f = covariant_del0(b, t, theta, f)
+    finv_d0f = finv[..., None, :, :] @ d0f
     sqf = isq @ (U * np.sqrt(w)[..., None, :]) @ dag(U) @ sq
 
     def traceless(s):
@@ -130,9 +128,9 @@ def test_end_derivatives_match_matmul_reference(r, rng):
 
     def matvec_ref(v):
         phi = sqf @ traceless(v) @ sqf
-        d0phi = covariant_del0(b, t, theta, phi).coeffs
-        a = finv[..., None, None, :, :] @ (d0phi - phi[..., None, None, :, :] @ finv_d0f)
-        out = trace_g(g, end_delbar(Form(t, 1, 0, a, b))) + 0.5 * dlog_ref(phi)
+        d0phi = covariant_del0(b, t, theta, phi)
+        a = finv[..., None, :, :] @ (d0phi - phi[..., None, :, :] @ finv_d0f)
+        out = end_trace_g(g, end_delbar(EndForm.one_zero(t, b, a))) + 0.5 * dlog_ref(phi)
         return traceless(out)
 
     close(captured["A"](V.ravel()).reshape(V.shape), matvec_ref(V))
@@ -148,8 +146,8 @@ def test_pmul_matches_matmul(r, rng):
 
     grid = (6, 5)
     F, G, C = field(*grid), field(*grid), field()
-    slot = F[..., None, None, :, :]
-    for ops in [(F, G), (slot, field(*grid, 2, 1)), (field(*grid, 2, 1), slot),
+    slot = F[..., None, :, :]
+    for ops in [(F, G), (slot, field(*grid, 2)), (field(*grid, 2), slot),
                 (C, F), (F, C), (C, F, G)]:
         ref = ops[0]
         for B in ops[1:]:

@@ -197,6 +197,7 @@ dir = {out}
     rep = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert rep["status"] == "blowup"
     assert (rep["line_search_trials"], rep["newton_directions"]) == (56, 33)
+    # pins rounding too: lin.dlog(lin.eps * phi) for lin.eps * lin.dlog(phi) gives 25.631830724527873
     assert rep["m_at_blowup"] == pytest.approx(25.631830713105415, rel=1e-12)
 
 

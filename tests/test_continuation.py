@@ -14,6 +14,7 @@ from affinehe.bundle import (
     random_hermitian_metric,
 )
 import affinehe.continuation as continuation
+import affinehe.torus as torus_module
 from affinehe import krylov
 from affinehe.continuation import (
     CUT_MIN,
@@ -36,6 +37,7 @@ from affinehe.errors import Diverged
 from affinehe.forms import MetricField
 from affinehe.stability import degree, stability_verdict
 from affinehe.torus import AffineTorus, random_smooth_scalar
+from test_gauduchon import bbt_metric
 
 UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
 
@@ -300,6 +302,34 @@ def test_newton_step_diagonalizes_each_state_once(monkeypatch):
     work = prob.work
     assert st.converged and work["newton_directions"] >= 2
     assert counts["eig"] == 1 + work["line_search_trials"] + work["newton_directions"]
+
+
+@pytest.mark.parametrize("N,metric,fields", [(16, "identity", 4), (15, "bbt", 2 + 4)])
+def test_matvec_differentiates_the_nonzero_pairs_of_g_inverse(N, metric, fields, rng,
+                                                             monkeypatch):
+    # one Newton matvec on T^2 differentiates phi once per axis for del_0 phi
+    # (2 fields) and, for tr_g delbar, a_i along axis j only where g^{ij} is
+    # not identically zero: 2 fields for g = I (the blowup_t2 config), 4 for
+    # the full g^{-1} of bbt_metric; all n^2 pairs would make 6 for either
+    t = AffineTorus(2, N)
+    g = MetricField(t, np.eye(2)) if metric == "identity" else bbt_metric(t)
+    b = build_bundle([UNIPOTENT, np.eye(2)])
+    H0 = canonical_metric(b, t)
+    calc = HermCalculus(H0)
+    f = calc.from_hermitian(random_hermitian_metric(b, t, rng, amplitude=0.3))
+    prob = ContinuationProblem(b, t, H0, g, 0.0)
+    lin = prob.linearization(prob.res_norm(f, 0.5))
+    phi = calc.hermitize(random_hermitian_metric(b, t, rng, amplitude=0.3))
+    differentiated = []
+    along = torus_module.along
+
+    def counting(values, *ops):
+        differentiated.append(values.size // (t.n_points * 4))
+        return along(values, *ops)
+
+    monkeypatch.setattr(torus_module, "along", counting)
+    prob.linearize_residual(lin, phi)
+    assert sum(differentiated) == fields
 
 
 def test_newton_direction_stops_at_its_forcing_term(monkeypatch):
