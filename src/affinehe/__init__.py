@@ -2,12 +2,11 @@
 metrics for flat vector bundles over special affine tori."""
 
 from .torus import AffineTorus
-from .forms import Form, MetricField
+from .forms import MetricField
 from .bundle import FlatBundle, build_bundle
 
 __all__ = [
     "AffineTorus",
-    "Form",
     "MetricField",
     "FlatBundle",
     "build_bundle",

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NonCommuting, NonHPD, Singular, ValidationError
-from .forms import Form, MetricField, dolbeault_del, dolbeault_delbar
+from .forms import MetricField
 from .torus import AffineTorus
 
 
@@ -314,19 +314,6 @@ def mean_curvature(metric: MetricField, bundle: FlatBundle, torus: AffineTorus,
                    H: np.ndarray) -> np.ndarray:
     """Extended mean curvature K = g^{ij} R_{ij} = tr_g delbar theta; EndField (gauge)."""
     return end_delbar(metric, bundle, hermitian_connection(bundle, torus, H))
-
-
-def first_chern_form(bundle: FlatBundle, torus: AffineTorus,
-                     H: np.ndarray) -> Form:
-    """c_1(E,h) = -del delbar log det h as a scalar (1,1)-form.
-
-    The twist makes log det h linear across the fundamental domain; the gauge
-    factor carries that part, whose second derivatives vanish, so only log det
-    of the stored, periodic H is differentiated.
-    """
-    check_hpd(H)
-    u = Form.from_scalar(torus, np.linalg.slogdet(H)[1].real.astype(complex))
-    return -dolbeault_del(dolbeault_delbar(u))
 
 
 class Del0:

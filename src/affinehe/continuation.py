@@ -584,11 +584,3 @@ def real_he_metric(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     Hreal = np.conj(Tinv.T) @ HC @ Tinv
     reality = float(np.abs(Hreal.imag).max() / max(1.0, np.abs(Hreal).max()))
     return Hreal, result, reality
-
-
-def he_K_defect(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
-                H_flat: np.ndarray, gamma: float = 0.0) -> float:
-    """sup_x Frobenius norm of K(h) - gamma I for a flat-frame metric."""
-    ec = bundle if bundle.field == "complex" else FlatBundle(bundle.monodromy, "complex")
-    Hg = ec.gauge(torus).herm_to_gauge(np.asarray(H_flat, dtype=complex))
-    return _K_defect(gG, ec, torus, Hg, gamma)

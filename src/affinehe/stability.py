@@ -24,13 +24,13 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .bundle import FlatBundle, canonical_metric, first_chern_form
+from .bundle import FlatBundle, canonical_metric, check_hpd
 from .errors import (
     NonGauduchonMetric,
     RankTooLarge,
     ValidationError,
 )
-from .forms import MetricField, trace_g
+from .forms import MetricField, laplacian_type
 from .gauduchon import gauduchon_residual
 from .torus import AffineTorus
 
@@ -86,20 +86,6 @@ def induced_monodromy(bundle: FlatBundle, F: FlatSubbundle) -> list[np.ndarray]:
     """Monodromy of the subbundle in the orthonormal basis: rho S = S rho_F."""
     S = F.basis
     return [np.conj(S.T) @ rho @ S for rho in bundle.monodromy]
-
-
-def quotient_monodromy(bundle: FlatBundle, F: FlatSubbundle):
-    """Orthonormal complement basis T and the quotient action on it.
-
-    In the block frame [S T] each rho is block triangular; the quotient
-    bundle acts by the lower-right block.
-    """
-    S = F.basis
-    r = bundle.rank
-    full = np.eye(r, dtype=complex)
-    T = _orth(full - S @ np.conj(S.T))
-    mats = [np.conj(T.T) @ rho @ T for rho in bundle.monodromy]
-    return T, mats
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +371,16 @@ def _require_gauduchon(gG: MetricField):
 def degree(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
            gG: MetricField) -> float:
     """deg_g E = int c_1(E,h) ^ omega^{n-1} / nu
-    = (1/n) int tr_g(c_1) omega^n / nu (metric h arbitrary HPD)."""
+    = -(1/n) int tr_g(del delbar log det h) omega^n / nu (metric h arbitrary HPD).
+
+    The twist makes log det h linear across the fundamental domain; the gauge
+    factor carries that part, whose second derivatives vanish, so only log det
+    of the stored, periodic H is differentiated.
+    """
     _require_gauduchon(gG)
-    c1 = first_chern_form(bundle, torus, H)
-    total = torus.integrate(trace_g(gG, c1) * gG.volume_density()) / torus.dim
-    return float(total.real)
+    check_hpd(H)
+    tr_c1 = -laplacian_type(gG, np.linalg.slogdet(H)[1])
+    return float((torus.integrate(tr_c1 * gG.volume_density()) / torus.dim).real)
 
 
 def slope(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
@@ -411,23 +402,6 @@ def induced_metric(bundle: FlatBundle, F: FlatSubbundle,
     """
     S = F.basis
     return np.conj(S.T) @ H @ S
-
-
-def degree_additivity_check(bundle: FlatBundle, torus: AffineTorus,
-                            F: FlatSubbundle, gG: MetricField,
-                            H: np.ndarray | None = None):
-    """(deg F, deg E/F, deg E, |defect|) for the exact sequence through F."""
-    if H is None:
-        H = canonical_metric(bundle, torus)
-    sub = subbundle_bundle(bundle, F)
-    HF = induced_metric(bundle, F, H)
-    T, qmats = quotient_monodromy(bundle, F)
-    quot = FlatBundle(qmats, "complex")
-    HQ = np.conj(T.T) @ H @ T
-    dF = degree(sub, torus, HF, gG)
-    dQ = degree(quot, torus, HQ, gG)
-    dE = degree(bundle, torus, H, gG)
-    return dF, dQ, dE, abs(dF + dQ - dE)
 
 
 @dataclass

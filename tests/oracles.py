@@ -1,11 +1,25 @@
 """Test-only reference implementations that the program does not run.
 
-The exterior algebra of scalar forms (``wedge`` and the metric form's
-powers) is the oracle for the closed forms the program uses in its place:
-omega^n / nu = n! det g, the Gauduchon residual from Q's terms and the
-degree (1/n) int tr_g(c_1) omega^n / nu.  ``fft_partial`` is the grid
-derivative by one FFT pair, the oracle for the derivative matrices.  The
-h-pairing helpers check the bundle's functional calculus.
+``Form`` is the scalar (p,q)-form algebra: a (p,q)-form stores its
+coefficients densely as ``grid_shape + (C(n,p), C(n,q))`` over increasing
+multi-indices, and the two Dolbeault operators act by
+
+    del    = (1/2) (d (x) I)          on the first slot,
+    delbar = (-1)^p (1/2) (I (x) d)   on the second slot,
+
+with d_k the grid partial.  Conjugation maps a (p,q)-form to a (q,p)-form
+with the sign (-1)^{pq}.  Division of an (n,n)-form by the parallel volume
+form uses the sign (-1)^{n(n-1)/2}, which makes omega_g^n / nu = n! det g
+positive for positive definite g.
+
+With ``wedge`` and the metric form's powers, it is the oracle for the closed
+forms the program uses in its place: omega^n / nu = n! det g, the Gauduchon
+residual from Q's terms, tr_g del delbar (``laplacian_type``) and the degree
+-(1/n) int tr_g(del delbar log det h) omega^n / nu, against c_1 from
+``first_chern_form``.  ``fft_partial`` is the grid derivative by one FFT
+pair, the oracle for the derivative matrices.  The h-pairing helpers check
+the bundle's functional calculus; ``he_K_defect`` and
+``degree_additivity_check`` check solved metrics and degrees.
 
 ``EndForm`` with its Dolbeault operators is the End(E)-valued form calculus
 that the bundle's array operators replace: all n^2 components of delbar of a
@@ -13,20 +27,170 @@ that the bundle's array operators replace: all n^2 components of delbar of a
 products, contracted with g^{-1} by ``end_trace_g``.
 """
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
+from affinehe.bundle import FlatBundle, canonical_metric, check_hpd
+from affinehe.continuation import _K_defect
 from affinehe.errors import ValidationError
-from affinehe.forms import (
-    Form,
-    _derivative_table,
-    increasing_indices,
-    index_position,
-    merge_sign,
-)
+from affinehe.stability import _orth, degree, induced_metric, subbundle_bundle
+
+
+@lru_cache(maxsize=None)
+def increasing_indices(n: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """All strictly increasing p-tuples from range(n), lexicographic."""
+    return tuple(combinations(range(n), p))
+
+
+@lru_cache(maxsize=None)
+def index_position(n: int, p: int) -> dict[tuple[int, ...], int]:
+    return {idx: i for i, idx in enumerate(increasing_indices(n, p))}
+
+
+def merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
+    """Sort the concatenation of two disjoint increasing tuples.
+
+    Returns (sorted tuple, permutation sign), or (None, 0) on overlap.
+    """
+    if set(a) & set(b):
+        return None, 0
+    merged = a + b
+    # count inversions of the concatenation
+    inv = sum(1 for i in range(len(merged)) for j in range(i + 1, len(merged))
+              if merged[i] > merged[j])
+    return tuple(sorted(merged)), (-1) ** inv
+
+
+@lru_cache(maxsize=None)
+def _derivative_table(n: int, p: int):
+    """Entries (axis, column_in, column_out, sign) for d on the p-slot."""
+    table = []
+    for i_in, idx in enumerate(increasing_indices(n, p)):
+        for k in range(n):
+            out, sgn = merge_sign((k,), idx)
+            if out is None:
+                continue
+            table.append((k, i_in, index_position(n, p + 1)[out], sgn))
+    return tuple(table)
+
+
+@dataclass
+class Form:
+    """Scalar (p,q)-form with dense increasing-multi-index storage."""
+
+    torus: object
+    p: int
+    q: int
+    coeffs: np.ndarray  # grid_shape + (C(n,p), C(n,q)), complex
+
+    def __post_init__(self):
+        n = self.torus.dim
+        if not (0 <= self.p <= n and 0 <= self.q <= n):
+            raise ValidationError(f"degree ({self.p},{self.q}) out of range for n={n}")
+        want = self.torus.grid_shape + (comb(n, self.p), comb(n, self.q))
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        if self.coeffs.shape != want:
+            raise ValidationError(
+                f"coefficient shape {self.coeffs.shape} != expected {want}"
+            )
+
+    @classmethod
+    def zero(cls, torus, p: int, q: int) -> "Form":
+        n = torus.dim
+        return cls(torus, p, q, torus.zeros(comb(n, p), comb(n, q)))
+
+    @classmethod
+    def from_scalar(cls, torus, values: np.ndarray) -> "Form":
+        return cls(torus, 0, 0, np.asarray(values, dtype=complex)[..., None, None])
+
+    def _new(self, coeffs: np.ndarray) -> "Form":
+        return Form(self.torus, self.p, self.q, coeffs)
+
+    def __add__(self, other: "Form") -> "Form":
+        self._same_degree(other)
+        return self._new(self.coeffs + other.coeffs)
+
+    def __sub__(self, other: "Form") -> "Form":
+        self._same_degree(other)
+        return self._new(self.coeffs - other.coeffs)
+
+    def __mul__(self, c) -> "Form":
+        # scalar constant or pointwise scalar field
+        c = np.asarray(c)
+        if c.ndim > 0:
+            c = c.reshape(c.shape + (1,) * (self.coeffs.ndim - c.ndim))
+        return self._new(self.coeffs * c)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "Form":
+        return self._new(-self.coeffs)
+
+    def _same_degree(self, other: "Form"):
+        if (self.p, self.q) != (other.p, other.q) or self.torus is not other.torus:
+            raise ValidationError("forms live on different spaces or degrees")
+
+    def sup_norm(self) -> float:
+        return float(np.abs(self.coeffs).max())
+
+
+def dolbeault_del(omega: Form) -> Form:
+    """del = (1/2)(d (x) I): (p,q) -> (p+1,q)."""
+    n, p, q = omega.torus.dim, omega.p, omega.q
+    if p >= n:
+        warnings.warn("del of a top-degree form vanishes identically")
+        return Form.zero(omega.torus, p, q)
+    grid = (slice(None),) * n
+    out = Form.zero(omega.torus, p + 1, q)
+    for axis, i_in, i_out, sgn in _derivative_table(n, p):
+        out.coeffs[grid + (i_out,)] += (0.5 * sgn) * omega.torus.partial(
+            omega.coeffs[grid + (i_in,)], axis
+        )
+    return out
+
+
+def dolbeault_delbar(omega: Form) -> Form:
+    """delbar = (-1)^p (1/2)(I (x) d): (p,q) -> (p,q+1)."""
+    n, p, q = omega.torus.dim, omega.p, omega.q
+    if q >= n:
+        warnings.warn("delbar of a top-degree form vanishes identically")
+        return Form.zero(omega.torus, p, q)
+    sign_p = (-1) ** p
+    grid = (slice(None),) * n
+    out = Form.zero(omega.torus, p, q + 1)
+    for axis, j_in, j_out, sgn in _derivative_table(n, q):
+        out.coeffs[grid + (slice(None), j_out)] += (0.5 * sign_p * sgn) * omega.torus.partial(
+            omega.coeffs[grid + (slice(None), j_in)], axis
+        )
+    return out
+
+
+def conjugate_form(omega: Form) -> Form:
+    """conj(alpha (x) beta) = (-1)^{pq} conj(beta) (x) conj(alpha): (p,q) -> (q,p)."""
+    sign = (-1) ** (omega.p * omega.q)
+    coeffs = sign * np.conj(np.swapaxes(omega.coeffs, -1, -2))
+    return Form(omega.torus, omega.q, omega.p, coeffs)
+
+
+def div_by_nu(chi: Form) -> np.ndarray:
+    """Divide an (n,n)-form by the parallel volume form; scalar field out."""
+    n = chi.torus.dim
+    if (chi.p, chi.q) != (n, n):
+        raise ValidationError(f"div_by_nu needs degree ({n},{n}), got ({chi.p},{chi.q})")
+    sign = (-1) ** (n * (n - 1) // 2)
+    return sign * chi.coeffs[..., 0, 0]
+
+
+def trace_g(metric, T):
+    """g^{ij} T_{i jbar} for a (1,1)-form; scalar field."""
+    if (T.p, T.q) != (1, 1):
+        raise ValidationError(f"trace_g needs a (1,1)-form, got ({T.p},{T.q})")
+    return np.einsum("...ij,...ij->...", metric.inv, T.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -182,3 +346,44 @@ def connection(bundle, torus, H):
 def curvature(bundle, torus, H):
     """Omega = delbar theta, an End-valued (1,1)-form."""
     return end_delbar(EndForm.one_zero(torus, bundle, connection(bundle, torus, H)))
+
+
+def first_chern_form(bundle, torus, H):
+    """c_1(E,h) = -del delbar log det h as a scalar (1,1)-form; only log det
+    of the stored, periodic H is differentiated."""
+    check_hpd(H)
+    u = Form.from_scalar(torus, np.linalg.slogdet(H)[1].real.astype(complex))
+    return -dolbeault_del(dolbeault_delbar(u))
+
+
+def he_K_defect(bundle, torus, gG, H_flat, gamma=0.0):
+    """sup_x Frobenius norm of K(h) - gamma I for a flat-frame metric."""
+    ec = bundle if bundle.field == "complex" else FlatBundle(bundle.monodromy, "complex")
+    Hg = ec.gauge(torus).herm_to_gauge(np.asarray(H_flat, dtype=complex))
+    return _K_defect(gG, ec, torus, Hg, gamma)
+
+
+def quotient_monodromy(bundle, F):
+    """Orthonormal complement basis T and the quotient action on it.
+
+    In the block frame [S T] each rho is block triangular; the quotient
+    bundle acts by the lower-right block.
+    """
+    S = F.basis
+    T = _orth(np.eye(bundle.rank, dtype=complex) - S @ np.conj(S.T))
+    return T, [np.conj(T.T) @ rho @ T for rho in bundle.monodromy]
+
+
+def degree_additivity_check(bundle, torus, F, gG, H=None):
+    """(deg F, deg E/F, deg E, |defect|) for the exact sequence through F."""
+    if H is None:
+        H = canonical_metric(bundle, torus)
+    sub = subbundle_bundle(bundle, F)
+    HF = induced_metric(bundle, F, H)
+    T, qmats = quotient_monodromy(bundle, F)
+    quot = FlatBundle(qmats, "complex")
+    HQ = np.conj(T.T) @ H @ T
+    dF = degree(sub, torus, HF, gG)
+    dQ = degree(quot, torus, HQ, gG)
+    dE = degree(bundle, torus, H, gG)
+    return dF, dQ, dE, abs(dF + dQ - dE)

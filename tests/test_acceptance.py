@@ -16,22 +16,28 @@ from affinehe.bundle import (
 )
 from affinehe.continuation import (
     ContinuationProblem,
-    he_K_defect,
     normalize_background,
     real_he_metric,
     run_continuation,
 )
 from affinehe.destabilizer import destabilize
-from affinehe.forms import Form, MetricField, div_by_nu, dolbeault_del, dolbeault_delbar
+from affinehe.forms import MetricField
 from affinehe.gauduchon import find_gauduchon_factor
 from affinehe.stability import (
     commutant_dimension,
     degree,
-    degree_additivity_check,
     enumerate_flat_subbundles,
     stability_verdict,
 )
 from affinehe.torus import AffineTorus, random_smooth_scalar
+from oracles import (
+    Form,
+    degree_additivity_check,
+    div_by_nu,
+    dolbeault_del,
+    dolbeault_delbar,
+    he_K_defect,
+)
 
 UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
 

@@ -11,7 +11,6 @@ from affinehe.bundle import (
     covariant_del0,
     d_end,
     end_delbar,
-    first_chern_form,
     hermitian_connection,
     mean_curvature,
     pmul,
@@ -20,15 +19,19 @@ from affinehe.bundle import (
 )
 from affinehe.errors import NonCommuting, Singular, ValidationError
 from affinehe.destabilizer import validate_projection
-from affinehe.forms import Form, MetricField, dolbeault_del, dolbeault_delbar
+from affinehe.forms import MetricField
 from affinehe.stability import degree
 from affinehe.torus import AffineTorus, random_smooth_scalar
 from oracles import (
     EndForm,
+    Form,
     connection,
     curvature,
+    dolbeault_del,
+    dolbeault_delbar,
     end_del,
     end_trace_g,
+    first_chern_form,
     herm_defect,
     inner,
     wedge,
@@ -454,7 +457,7 @@ def test_array_operators_match_form_reference(dim, N, backend, kind, metric, rng
 
 
 def test_form_rejects_end_value_axes(t64):
-    # Form is scalar-only; End(E)-valued fields are plain (..., r, r) arrays
+    # the oracle's Form is scalar-only; End(E)-valued forms are EndForms
     b = build_bundle([UNIPOTENT])
     with pytest.raises(ValidationError):
         Form(t64, 0, 0, np.zeros((64, 1, 1, 2, 2)))

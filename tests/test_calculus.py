@@ -18,21 +18,26 @@ from affinehe.bundle import (
 from affinehe import krylov
 from affinehe.continuation import ContinuationProblem
 from affinehe.errors import LinearSolveStagnation, ValidationError
-from affinehe.forms import (
+from affinehe.forms import MetricField, laplacian_symbol, laplacian_type
+import affinehe.torus as torus_module
+from affinehe.torus import AffineTorus, random_smooth_scalar
+from oracles import (
+    EndForm,
     Form,
-    MetricField,
     conjugate_form,
     div_by_nu,
     dolbeault_del,
     dolbeault_delbar,
+    end_delbar,
+    end_trace_g,
+    fft_partial,
     increasing_indices,
-    laplacian_symbol,
-    laplacian_type,
     merge_sign,
+    omega_pow,
     trace_g,
+    wedge,
 )
-from affinehe.torus import AffineTorus, random_smooth_scalar
-from oracles import EndForm, end_delbar, end_trace_g, fft_partial, omega_pow, wedge
+from test_gauduchon import bbt_metric
 
 
 def random_form(torus, rng, p, q, modes=3):
@@ -410,6 +415,50 @@ def test_trace_g_identity_oracle():
     T.coeffs[..., 0, 0] = 1.0
     assert np.abs(trace_g(g, T) - 1.0).max() < 1e-14
     assert np.abs(trace_g(g, Form.zero(t, 1, 1))).max() == 0.0
+
+
+@pytest.mark.parametrize("metric,fields", [("identity", 4), ("bbt", 6)])
+def test_laplacian_type_differentiates_the_nonzero_pairs_of_g_inverse(metric, fields, rng,
+                                                                     monkeypatch):
+    # D_j psi once per axis j, then D_i of it where g^{ij} is not identically
+    # zero: 2 + 2 fields for g = I, 2 + 4 for the full g^{-1} of bbt_metric;
+    # the form oracle's del delbar takes 2 + 4 for either
+    t = AffineTorus(2, 16)
+    g = MetricField(t, np.eye(2)) if metric == "identity" else bbt_metric(t)
+    psi = random_smooth_scalar(t, rng)
+    differentiated = []
+    along = torus_module.along
+
+    def counting(values, *ops):
+        differentiated.append(values.size // t.n_points)
+        return along(values, *ops)
+
+    monkeypatch.setattr(torus_module, "along", counting)
+    laplacian_type(g, psi)
+    assert sum(differentiated) == fields
+    differentiated.clear()
+    dolbeault_del(dolbeault_delbar(Form.from_scalar(t, psi)))
+    assert sum(differentiated) == 6
+
+
+def test_src_defines_no_form_algebra():
+    # the (p,q)-form algebra is the test reference in oracles.py
+    import affinehe.bundle
+    import affinehe.continuation
+    import affinehe.forms
+    import affinehe.stability
+
+    assert not hasattr(affinehe.forms, "Form")
+    moved = {
+        affinehe.forms: ("increasing_indices", "index_position", "merge_sign",
+                         "_derivative_table", "dolbeault_del", "dolbeault_delbar",
+                         "conjugate_form", "div_by_nu", "trace_g"),
+        affinehe.bundle: ("first_chern_form",),
+        affinehe.stability: ("degree_additivity_check", "quotient_monodromy"),
+        affinehe.continuation: ("he_K_defect",),
+    }
+    for module, names in moved.items():
+        assert not [name for name in names if hasattr(module, name)], module.__name__
 
 
 def test_trace_laplacian_oracle():

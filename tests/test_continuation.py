@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from derivatives import d_fL, d_fL_fd
-from oracles import herm_defect
+from oracles import he_K_defect, herm_defect
 
 from affinehe.bundle import (
     HermCalculus,
@@ -30,7 +30,6 @@ from affinehe.continuation import (
     real_he_metric,
     run_continuation,
     solve_scalar_elliptic,
-    he_K_defect,
 )
 from affinehe.destabilizer import destabilize
 from affinehe.errors import Diverged

@@ -15,15 +15,14 @@ import scipy.sparse.linalg
 import affinehe.gauduchon as gauduchon
 import affinehe.stability as stability
 from affinehe import krylov
-from affinehe.bundle import build_bundle, first_chern_form, random_hermitian_metric
+from affinehe.bundle import build_bundle, random_hermitian_metric
 from affinehe.errors import (
     KernelNotOneDimensional,
     NoPositiveKernel,
     SolverError,
     ValidationError,
 )
-from affinehe.forms import (MetricField, div_by_nu, dolbeault_del, dolbeault_delbar,
-                            laplacian_symbol, trace_g)
+from affinehe.forms import MetricField, laplacian_symbol, laplacian_type
 from affinehe.gauduchon import (
     KERNEL_GAP_MIN,
     apply_Q,
@@ -37,7 +36,8 @@ from affinehe.gauduchon import (
 )
 from affinehe.stability import degree, stability_verdict
 from affinehe.torus import AffineTorus, random_smooth_scalar
-from oracles import omega_pow, wedge
+from oracles import (Form, div_by_nu, dolbeault_del, dolbeault_delbar, first_chern_form,
+                     omega_pow, trace_g, wedge)
 
 
 def assemble_Q(metric, apply=apply_Q):
@@ -553,7 +553,23 @@ CLOSED_FORM_CASES = [(dim, backend, kind) for dim in (1, 2, 3)
 
 def closed_form_metric(dim, backend, kind):
     t = AffineTorus(dim, {1: 16, 2: 12, 3: 8}[dim], backend)
+    if kind == "diag":
+        return MetricField(t, np.diag([2.0, 0.5, 3.0][:dim]))
     return sin_metric(t) if kind == "sin" else bbt_metric(t)
+
+
+# the closed forms against the (p,q)-form oracle, on a constant diagonal g too
+ORACLE_CASES = [(dim, backend, kind) for dim in (1, 2, 3)
+                for backend in ("spectral", "fd") for kind in ("diag", "sin", "bbt")]
+
+
+@pytest.mark.parametrize("dim,backend,kind", ORACLE_CASES)
+def test_laplacian_type_is_the_trace_of_del_delbar(dim, backend, kind, rng):
+    g = closed_form_metric(dim, backend, kind)
+    t = g.torus
+    psi = random_smooth_scalar(t, rng)
+    want = trace_g(g, dolbeault_del(dolbeault_delbar(Form.from_scalar(t, psi))))
+    assert np.abs(laplacian_type(g, psi) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("dim,backend,kind", CLOSED_FORM_CASES)
@@ -573,10 +589,10 @@ def test_gauduchon_residual_is_ddbar_of_omega_to_the_n_minus_1(dim, backend, kin
     assert abs(got - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("dim,backend,kind", CLOSED_FORM_CASES)
+@pytest.mark.parametrize("dim,backend,kind", ORACLE_CASES)
 def test_degree_is_c1_wedge_omega_to_the_n_minus_1(dim, backend, kind, monkeypatch, rng):
-    # these metrics are not Gauduchon, so the degree is not zero for n > 1
-    # and the comparison is a relative one; the guard is lifted to allow it
+    # the non-constant metrics are not Gauduchon, so the degree is not zero
+    # for n > 1 and the comparison is a relative one; the guard is lifted
     monkeypatch.setattr(stability, "GAUDUCHON_CHECK_TOL", np.inf)
     g = closed_form_metric(dim, backend, kind)
     t = g.torus
@@ -588,6 +604,7 @@ def test_degree_is_c1_wedge_omega_to_the_n_minus_1(dim, backend, kind, monkeypat
     assert np.abs(closed - density).max() <= 1e-12 * np.abs(density).max()
     deg = degree(bundle, t, H, g)
     assert abs(deg - t.integrate(density).real) <= 1e-12 * t.integrate(np.abs(density)).real
+    assert abs(deg - t.integrate(closed).real) <= 1e-13 * t.integrate(np.abs(closed)).real
 
 
 @pytest.mark.parametrize("dim,N", [(2, 16), (3, 12)])

@@ -13,7 +13,6 @@ from affinehe.stability import (
     commutant_dimension,
     conjugate_splitting,
     degree,
-    degree_additivity_check,
     enumerate_flat_subbundles,
     induced_monodromy,
     make_subbundle,
@@ -22,6 +21,7 @@ from affinehe.stability import (
     stability_verdict,
 )
 from affinehe.torus import AffineTorus
+from oracles import degree_additivity_check
 
 UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
 
