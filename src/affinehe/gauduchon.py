@@ -15,12 +15,12 @@ del delbar omega^{n-1} / nu = Q(1) omega^n / nu
 
 Q is only applied, never assembled: a GMRES solve of a bordered system,
 preconditioned by its exact inverse under a conformally flat model of the
-metric, gives the kernel vector, and a Lanczos (sigma_max) and a
-LOBPCG (sigma_2) on Q^H Q certify that the discrete kernel is
-one-dimensional; all three are the package's own numpy loops
-(``krylov.gmres``, ``largest_eigenvalue``, ``krylov.lobpcg``) on raveled
-grid fields.  For n = 1 every metric is affine Gauduchon and the factor is
-identically one.
+metric, gives the kernel vector, and a Lanczos (sigma_max) and a LOBPCG
+(sigma_2, preconditioned by that inverse and its adjoint) on Q^H Q certify
+that the discrete kernel is one-dimensional; all three are the package's
+own numpy loops (``krylov.gmres``, ``largest_eigenvalue``,
+``krylov.lobpcg``) on raveled grid fields.  For n = 1 every metric is
+affine Gauduchon and the factor is identically one.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 from . import krylov
 from .errors import (KernelNotOneDimensional, NoPositiveKernel, SolverError,
                      ValidationError)
-from .forms import MetricField, laplacian_symbol, laplacian_type
-from .torus import along, transform
+from .forms import MetricField, laplacian_type
+from .torus import along
 
 
 @dataclass
@@ -167,34 +167,20 @@ def kernel_singular_values(metric: MetricField, phi: np.ndarray, Q) -> tuple[flo
     sigma_2^2 by ``krylov.lobpcg`` on the complement of the raveled kernel
     vector ``phi`` (a degenerate kernel leaves a null vector there), from the next
     draw of the same generator smoothed by the preconditioner (white noise
-    stalls it on strongly varying metrics).  Q = V^{-1} L s exactly for
-    conformally flat metrics (V the volume density, s = V tr g^{-1}, L of
-    constant coefficients); the preconditioner inverts that form, with L's
-    symbol raised to its least nonzero value where it vanishes, so the fd
-    checkerboard null modes are kept.  Between the two inverses of L it
-    multiplies by V^2 in real space, transforming only along the axes where
-    V^2 varies: the transforms along the others cancel.
+    stalls it on strongly varying metrics).  The preconditioner is
+    M M^H = (B^H B)^{-1}, with M and M^H the ``conformal_inverse`` of the
+    kernel solve's B = Q + beta mean: exact for every conformally flat g,
+    where B^H B is Q^H Q plus a rank-one term that the complement of the
+    kernel vector does not see.
     """
     torus = metric.torus
     QHQ = torus.raveled(lambda v: apply_QH(metric, Q(v)))
     rng = np.random.default_rng(0)
     lam_max, steps = largest_eigenvalue(QHQ, rng.standard_normal(torus.n_points) + 0j)
-    p = laplacian_symbol(metric) / torus.dim
-    nonzero = p > 1e-12 * p.max()
-    p = np.where(nonzero, p, p[nonzero].min())
-    V = metric.volume_density()
-    s, V2 = V * np.einsum("...ii->...", metric.inv), V**2
-    varying = [k for k in range(torus.dim) if np.ptp(V2, axis=k).any()]
-    every = torus.fftn_axes
-
-    def precondition(v):
-        u = transform(np.fft.fft, v / s, every) / p
-        u = transform(np.fft.fft, V2 * transform(np.fft.ifft, u, varying), varying)
-        return transform(np.fft.ifft, u / p, every) / s
-
-    start = precondition(rng.standard_normal(torus.grid_shape) + 0j).ravel()
+    solve, adjoint = conformal_inverse(metric, metric.det.mean() ** (-1 / torus.dim))
+    start = solve(adjoint(rng.standard_normal(torus.grid_shape) + 0j)).ravel()
     lam, iterations, converged = krylov.lobpcg(
-        QHQ, start, torus.raveled(precondition), phi / np.linalg.norm(phi),
+        QHQ, start, torus.raveled(lambda v: solve(adjoint(v))), phi / np.linalg.norm(phi),
         tol=LOBPCG_TOL * lam_max, maxiter=200)
     work = {"lanczos_steps": steps, "lobpcg_iterations": iterations,
             "lobpcg_converged": converged}
@@ -202,15 +188,18 @@ def kernel_singular_values(metric: MetricField, phi: np.ndarray, Q) -> tuple[flo
 
 
 def conformal_inverse(metric: MetricField, beta: float):
-    """The inverse of phi -> Q phi + beta mean(phi) when det g g^{-1} =
-    alpha Abar, alpha = det(g)^{(n-1)/n} and Abar the grid mean of
-    det g g^{-1} / alpha, as for every conformally flat g.  Then Q phi =
-    L(alpha phi) / d with d = 4n det g and L = Abar^{ij} d_i d_j; every L u
-    has grid mean zero, so beta mean(phi) = mean(d r) / mean(d), and
-    alpha phi is L^{-1} of the rest plus the constant giving that mean."""
+    """(M, M^H): M the inverse of B phi = Q phi + beta mean(phi) when
+    det g g^{-1} = alpha Abar, alpha = det(g)^{(n-1)/n} and Abar the grid
+    mean of det g g^{-1} / alpha, as for every conformally flat g.  Then
+    Q phi = L(alpha phi) / d with d = 4n det g and L = Abar^{ij} d_i d_j;
+    every L u has grid mean zero, so beta mean(phi) = mean(d r) / mean(d),
+    and alpha phi is L^{-1} of the rest plus the constant giving that mean.
+    M^H, the Euclidean adjoint, takes M's steps in reverse: d and alpha
+    are real, and L^{-1} divides by a real symbol, so it is Hermitian."""
     torus, n = metric.torus, metric.torus.dim
     d = 4 * n * metric.det
     alpha = metric.det ** ((n - 1) / n)
+    mean_inv_alpha = (1 / alpha).mean()
     Abar = (metric.inv * (metric.det / alpha)[..., None, None]).reshape(-1, n, n).mean(axis=0)
     s = np.meshgrid(*(torus.derivative_symbol(),) * n, indexing="ij")
     divide = torus.fft_divider(-sum(Abar[i, j] * s[i] * s[j] for i in range(n) for j in range(n)))
@@ -218,8 +207,13 @@ def conformal_inverse(metric: MetricField, beta: float):
     def solve(r):
         mu = (d * r).mean() / d.mean()
         u = divide(d * (r - mu))
-        return (u + (mu / beta - (u / alpha).mean()) / (1 / alpha).mean()) / alpha
-    return solve
+        return (u + (mu / beta - (u / alpha).mean()) / mean_inv_alpha) / alpha
+
+    def adjoint(y):
+        z = y / alpha
+        v = d * divide(z - z.mean() / (mean_inv_alpha * alpha))
+        return v + d * (z.mean() / (beta * mean_inv_alpha) - v.mean()) / d.mean()
+    return solve, adjoint
 
 
 def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
@@ -253,7 +247,7 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
     beta = metric.det.mean() ** (-1 / n)
     x, info, steps = krylov.gmres(torus.raveled(lambda v: Q(v) + beta * v.mean()),
                                   np.ones(torus.n_points, dtype=complex),
-                                  torus.raveled(conformal_inverse(metric, beta)),
+                                  torus.raveled(conformal_inverse(metric, beta)[0]),
                                   rtol=1e-12, maxiter=8)
     if not 0.0 < np.linalg.norm(x) < np.inf:
         # (Q + beta mean) v = 0 forces mean(v) = 0 and Q v = 0

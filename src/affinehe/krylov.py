@@ -137,8 +137,9 @@ def lobpcg(matvec: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     from ``x`` preconditioned by ``psolve``.
 
     Each iteration applies A once: Rayleigh-Ritz on an orthonormal basis of
-    [x, w, p], with w the preconditioned residual and p the last update,
-    each orthogonalized twice against what precedes it (w against y and x).
+    [x, w, p], with w the preconditioned part of the residual orthogonal to
+    y (its part along y is no search direction) and p the last update, each
+    orthogonalized twice against what precedes it (w against y and x).
     p is dropped when less than DROP_TOL of it lies outside span(x, w): the
     Gram matrix of [x, w, p] has lost rank.  The images under A are
     updated with the vectors, so A is applied to w alone.  It stops when
@@ -162,8 +163,8 @@ def lobpcg(matvec: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
             return theta, iteration, True
         if iteration == maxiter:
             break
-        w = psolve(r)
-        for _ in range(2):   # twice: r may lie mostly along y
+        w = psolve(r - y * np.vdot(y, r))
+        for _ in range(2):   # twice: psolve need not keep w in the complement
             w -= y * np.vdot(y, w)
             w -= S[0] * np.vdot(S[0], w)
         S[1] = w / np.linalg.norm(w)

@@ -57,8 +57,6 @@ class AffineTorus:
             *(np.arange(resolution) / resolution for _ in range(dim)), indexing="ij"
         )
         self._coords = tuple(axes)
-        # the grid axes in np.fft.fftn's order: its transforms, without its set-up
-        self.fftn_axes = tuple(range(dim - 1, -1, -1))
 
     def __repr__(self):
         return f"AffineTorus(dim={self.dim}, N={self.resolution}, backend={self.backend!r})"
@@ -142,10 +140,15 @@ class AffineTorus:
         """
         divisor = np.where(symbol == 0, 1, symbol)
         divisor = divisor.reshape(divisor.shape + (1,) * len(value_shape))
-        axes = self.fftn_axes
+        axes = range(self.dim - 1, -1, -1)  # np.fft.fftn's transforms, without its set-up
 
         def divide(values):
-            return transform(np.fft.ifft, transform(np.fft.fft, values, axes) / divisor, axes)
+            for axis in axes:
+                values = np.fft.fft(values, axis=axis)
+            values = values / divisor
+            for axis in axes:
+                values = np.fft.ifft(values, axis=axis)
+            return values
         return divide
 
     def raveled(self, fn, value_shape: tuple[int, ...] = ()):
@@ -165,14 +168,6 @@ def along(values: np.ndarray, *ops) -> np.ndarray:
         v = values - values[(slice(None),) * axis + (slice(0, 1),)]
         v = v.reshape(prod(shape[:axis]), shape[axis], -1)
         values = (v[..., 0] @ matrix.T if v.shape[2] == 1 else matrix @ v).reshape(shape)
-    return values
-
-
-def transform(fn, values: np.ndarray, axes) -> np.ndarray:
-    """``fn`` (``np.fft.fft`` or ``np.fft.ifft``) applied along each of
-    ``axes`` in turn."""
-    for axis in axes:
-        values = fn(values, axis=axis)
     return values
 
 

@@ -238,6 +238,17 @@ def test_factor_matches_dense_oracle(dim, N, backend, amplitude):
     assert abs(res.kernel_gap - gap_dense) <= 1e-6 * gap_dense
 
 
+@pytest.mark.parametrize("axis", range(3))
+def test_kernel_gap_matches_the_dense_svd_on_each_axis(axis):
+    # gap 7.9e-6, so LOBPCG's residual tolerance 1e-10 sigma_max^2 is about
+    # sigma_2^2 itself: preconditioned by s^-1 L^-1 V^2 L^-1 s^-1 in place of
+    # (B^H B)^-1, the sine along x^3 stopped 1.9e-5 above the dense gap
+    g = sin_metric(AffineTorus(3, 8), 0.9, axis)
+    _, gap_dense = dense_oracle(g)
+    res = find_gauduchon_factor(g)
+    assert abs(res.kernel_gap - gap_dense) <= 1e-8 * gap_dense
+
+
 NONDIAGONAL_GRIDS = [(2, 15, "spectral"), (3, 9, "spectral"), (2, 16, "spectral"),
                      (3, 8, "spectral"), (2, 11, "fd")]
 
@@ -279,7 +290,8 @@ def test_factor_nondiagonal_even_grid_has_no_positive_kernel():
 
 
 def test_kernel_certificate_work(monkeypatch):
-    # LOBPCG from one vector meets its tolerance in about 20 Q^H Q products
+    # LOBPCG from one vector meets its tolerance in 12 Q^H Q products, the
+    # Lanczos of sigma_max in 17
     calls = []
 
     def counting(metric, psi):
@@ -483,7 +495,7 @@ def test_lobpcg_stops_when_the_search_direction_vanishes(dim, kind):
     assert not work["lobpcg_converged"] and work["lobpcg_iterations"] < 200
     A = assemble_Q(g)
     U = np.linalg.svd(ones[None, :])[2][1:].conj().T    # a basis of the complement
-    lam = np.linalg.eigvalsh(U.conj().T @ A.conj().T @ A @ U)[0]
+    lam = scipy.linalg.svdvals(A @ U)[-1] ** 2   # eigvalsh of U^H A^H A U squares the error
     assert lam <= sigma_2**2 <= (1 + 1e-4) * lam
 
 
@@ -652,9 +664,17 @@ def test_conformal_inverse_is_the_dense_inverse_of_the_bordered_Q(G):
     g = MetricField(t, c[..., None, None] * G)
     beta = g.det.mean() ** (-1 / 2)
     A = assemble_Q(g) + beta / t.n_points
-    M = assemble_Q(g, lambda metric, v: conformal_inverse(metric, beta)(v))
+    solve, adjoint = conformal_inverse(g, beta)
+    M = assemble_Q(g, lambda metric, v: solve(v))
+    MH = assemble_Q(g, lambda metric, v: adjoint(v))
+    MMH = assemble_Q(g, lambda metric, v: solve(adjoint(v)))
     inverse = np.linalg.inv(A)
     assert np.abs(M - inverse).max() <= 1e-12 * np.abs(inverse).max()
+    assert np.abs(MH - inverse.conj().T).max() <= 1e-12 * np.abs(inverse).max()
+    # the LOBPCG preconditioner is inv(A^H A), here as inv(A) inv(A)^H:
+    # inverting A^H A squares A's condition number (about 400) and errs by 1e-11
+    normal_inverse = inverse @ inverse.conj().T
+    assert np.abs(MMH - normal_inverse).max() <= 1e-12 * np.abs(normal_inverse).max()
 
 
 @pytest.mark.parametrize("metric", [lambda: bbt_metric(AffineTorus(2, 15)),

@@ -15,7 +15,7 @@ from affinehe.bundle import (
 )
 from affinehe.continuation import ContinuationProblem, normalize_background
 from affinehe.errors import NoPositiveKernel
-from affinehe.forms import MetricField, laplacian_symbol
+from affinehe.forms import MetricField
 from affinehe.gauduchon import find_gauduchon_factor
 from affinehe.torus import AffineTorus
 from test_gauduchon import assemble_Q, bbt_metric, gauduchon_t3_seed1_metric, sin_metric
@@ -206,32 +206,6 @@ def test_lobpcg_matches_scipy_and_the_dense_svd(metric):
     assert ours.calls <= theirs.calls
     sigma_2 = scipy.linalg.svdvals(assemble_Q(g))[-2]
     assert abs(np.sqrt(lam) - sigma_2) <= 1e-6 * sigma_2
-
-
-@pytest.mark.parametrize("metric", [lambda: sin_metric(AffineTorus(3, 8), 0.4, axis=1),
-                                    lambda: bbt_metric(AffineTorus(3, 9))],
-                         ids=["sin_T3_N8", "bbt_T3_N9"])
-def test_lobpcg_preconditioner_matches_its_all_axes_form(metric):
-    # s^-1 L^-1 V^2 L^-1 s^-1 with V^2 applied through transforms along
-    # every axis: the same map as transforming only along the axes V^2
-    # varies on (one for the sine metric, all three for g = I + B B^T)
-    g = metric()
-    _, _, psolve, _, _ = captured_system(lambda: find_gauduchon_factor(g), "lobpcg")
-    t = g.torus
-    p = laplacian_symbol(g) / t.dim
-    nonzero = p > 1e-12 * p.max()
-    p = np.where(nonzero, p, p[nonzero].min())
-    V = g.volume_density()
-    s = V * np.einsum("...ii->...", g.inv)
-
-    def divide(v):
-        return np.fft.ifftn(np.fft.fftn(v) / p)
-
-    rng = np.random.default_rng(6)
-    for _ in range(2):
-        v = rng.standard_normal(t.grid_shape) + 1j * rng.standard_normal(t.grid_shape)
-        expect = (divide(divide(v / s) * V**2) / s).ravel()
-        assert np.abs(psolve(v.ravel()) - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("seed", range(4))
