@@ -55,7 +55,7 @@ def einstein_constant(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
     Torus degrees vanish up to quadrature error; values below 10/N^2 are
     replaced by the exact 0 so the path target does not drift.
     """
-    gamma = torus.dim * degree(bundle, torus, H, gG) / bundle.rank / gG.total_volume()
+    gamma = torus.dim * degree(torus, H, gG) / bundle.rank / gG.total_volume()
     if abs(gamma) < 10.0 / torus.resolution**2:
         gamma = 0.0
     return gamma
@@ -181,7 +181,7 @@ class ContinuationProblem:
         self.K0_shift = self.K0 - gamma * self.eye
         # symbol of -tr_g delbar del_0 at f = I
         self._symbol = laplacian_symbol(gG)
-        # work of the run; lgmres_unconverged counts stops with info != 0
+        # work of the run; lgmres_unconverged counts gmres stops with info != 0
         self.work = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
                          lgmres_unconverged=0, eps_backtracks=0, line_search_trials=0)
 
@@ -262,14 +262,15 @@ class ContinuationProblem:
         term and produces useless giant Newton directions near scale
         degeneracy.
 
-        The solve is matrix-free: ``krylov.lgmres`` on the analytic matvec,
-        preconditioned by the FFT inverse of the principal symbol plus eps.
+        The solve is matrix-free: ``krylov.gmres`` (at most 40 cycles) on the
+        analytic matvec, preconditioned by the FFT inverse of the principal
+        symbol plus eps.
         At eps = 0 the symbol vanishes on the mean mode, which
         ``AffineTorus.fft_divider`` passes unchanged; on a polystable bundle
         the operator is singular along the commutant there, and a
         preconditioner that amplified that mode would throw the step off the
         solution path.  Raises LinearSolveStagnation when the true relative
-        residual that lgmres returns stays above 0.9.
+        residual that gmres returns stays above 0.9.
         """
         r, sqf, eps, work = self.rank, lin.sqrt_f, lin.eps, self.work
         work[counter] += 1
@@ -283,7 +284,7 @@ class ContinuationProblem:
         A = self.torus.raveled(matvec, (r, r))
         M = self.torus.raveled(self.torus.fft_divider(self._symbol + eps, (r, r)), (r, r))
         with np.errstate(over="ignore", invalid="ignore"):
-            x, info, rnorm = krylov.lgmres(A, b, M, rtol=eta, atol=eta * bnorm, maxiter=60)
+            x, info, _, rnorm = krylov.gmres(A, b, M, rtol=eta, maxiter=40)
         work["lgmres_unconverged"] += info != 0
         if not rnorm <= 0.9 * bnorm:
             raise LinearSolveStagnation(
@@ -355,7 +356,7 @@ ETA_MAX, ETA_MIN = 0.1, 1e-8  # bounds of the inexact-Newton forcing term
 
 def forcing_term(tol_eff: float, res: float) -> float:
     """Relative residual for a Newton direction's Krylov solve: half the cut
-    from res to tol_eff, clipped to [ETA_MIN, ETA_MAX].  The lgmres residual
+    from res to tol_eff, clipped to [ETA_MIN, ETA_MAX].  The gmres residual
     is then about tol_eff / 2, so the inexact solve alone cannot keep the step
     from the target, and a tighter solve would only oversolve."""
     return min(ETA_MAX, max(ETA_MIN, 0.5 * tol_eff / res))

@@ -215,10 +215,10 @@ def destabilizing_report(bundle: FlatBundle, torus: AffineTorus,
     H0 = calc.H
     tol = 10.0 / torus.resolution**2
 
-    mu_E = slope(bundle, torus, H0, gG)
+    mu_E = slope(torus, H0, gG, bundle.rank)
     sub = subbundle_bundle(bundle, F)
     HF = induced_metric(bundle, F, H0)
-    mu_F = slope(sub, torus, HF, gG)
+    mu_F = slope(torus, HF, gG, F.rank)
 
     # Chern-Weil two-path comparison, integrated
     w = gG.volume_density()

@@ -245,10 +245,10 @@ def find_gauduchon_factor(metric: MetricField) -> GauduchonResult:
                                already_gauduchon=True, q_applications=applications)
 
     beta = metric.det.mean() ** (-1 / n)
-    x, info, steps = krylov.gmres(torus.raveled(lambda v: Q(v) + beta * v.mean()),
-                                  np.ones(torus.n_points, dtype=complex),
-                                  torus.raveled(conformal_inverse(metric, beta)[0]),
-                                  rtol=1e-12, maxiter=8)
+    x, info, steps, _ = krylov.gmres(torus.raveled(lambda v: Q(v) + beta * v.mean()),
+                                     np.ones(torus.n_points, dtype=complex),
+                                     torus.raveled(conformal_inverse(metric, beta)[0]),
+                                     rtol=1e-12, maxiter=8)
     if not 0.0 < np.linalg.norm(x) < np.inf:
         # (Q + beta mean) v = 0 forces mean(v) = 0 and Q v = 0
         raise KernelNotOneDimensional(

@@ -1,5 +1,11 @@
-"""Krylov solvers on plain callables: LGMRES for the continuation, GMRES and
-LOBPCG for the Gauduchon kernel.
+"""Krylov solvers on plain callables: GMRES for the Newton directions, path
+tangents and Gauduchon kernel, LOBPCG for the kernel's certificate, LGMRES
+for the scalar elliptic solve of the background normalization.
+
+``gmres`` (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) and
+``lobpcg`` (single-vector LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001)
+are numpy: each step is one operator application, one preconditioner
+application and a few vector operations.
 
 ``lgmres`` is ``scipy.sparse.linalg.lgmres`` (Baker, Jessup & Manteuffel, SIAM
 J. Matrix Anal. Appl. 26, 2005: restarted GMRES whose search space in each
@@ -7,12 +13,9 @@ cycle is augmented by the error corrections of the last few cycles) without
 two operator applications that do no work.  Started from x0 = 0, scipy's
 first residual is A 0 - b; here A 0 is zero without a matvec.  Its last
 convergence test applies A to the x it returns, so the true residual
-||A x - b|| is returned with x and no caller applies A again.
-
-``gmres`` (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) and
-``lobpcg`` (single-vector LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001)
-are numpy: each step is one operator application, one preconditioner
-application and a few vector operations.
+||A x - b|| is returned with x.  The augmentation helps only after a
+restart, which no benchmark Newton solve reaches; the scalar solve keeps it
+while scipy stays on the import path (logm, expm, the benchmark's tracer).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from collections.abc import Callable
 import numpy as np
 import scipy.sparse.linalg as spla
 
-INNER_M = 30  # Arnoldi steps per outer cycle
+INNER_M = 30  # Arnoldi steps per LGMRES outer cycle
 OUTER_K = 3   # outer error corrections kept for the augmentation
 RESTART = 50  # Arnoldi steps per GMRES cycle
 DROP_TOL = 1e-8  # least part of LOBPCG's update outside span(x, w) it keeps
@@ -60,9 +63,9 @@ def lgmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
 def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
           psolve: Callable[[np.ndarray], np.ndarray], rtol: float,
-          maxiter: int) -> tuple[np.ndarray, int, int]:
-    """Solve A x = b from x = 0 to ||A x - b|| <= rtol ||b|| (b complex and
-    nonzero) by GMRES(RESTART) left-preconditioned with ``psolve`` ~ A^{-1},
+          maxiter: int) -> tuple[np.ndarray, int, int, float]:
+    """Solve A x = b from x = 0 to ||A x - b|| <= rtol ||b|| (b complex) by
+    GMRES(RESTART) left-preconditioned with ``psolve`` ~ A^{-1},
     in at most ``maxiter`` cycles: Arnoldi by modified Gram-Schmidt, least
     squares by Givens rotations (LAPACK's zlartg convention, as scipy's
     gmres).
@@ -75,9 +78,12 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     cut by 4 after a cycle whose estimate met it but whose true residual
     did not, and raised by 1.5 (to at most 1) after any other.
 
-    Returns (x, info, steps): info 0 on convergence, else ``maxiter``, and
-    the Arnoldi steps made.
+    Returns (x, info, steps, rnorm): info 0 on convergence, else
+    ``maxiter``, the Arnoldi steps made, and rnorm = ||b - A x||, the last
+    cycle's true residual.  A zero b returns x = 0 without applying A or M.
     """
+    if not b.any():
+        return np.zeros_like(b), 0, 0, 0.0
     atol = rtol * np.linalg.norm(b)
     eps = np.finfo(b.dtype).eps
     V = np.empty((RESTART + 1, b.size), dtype=b.dtype)
@@ -124,9 +130,9 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         r = b - matvec(x)
         rnorm = np.linalg.norm(r)
         if rnorm <= atol:
-            return x, 0, steps
+            return x, 0, steps, rnorm
         factor = max(eps, factor / 4) if abs(residual) <= target else min(1.0, 1.5 * factor)
-    return x, maxiter, steps
+    return x, maxiter, steps, rnorm
 
 
 def lobpcg(matvec: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

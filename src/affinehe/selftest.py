@@ -93,8 +93,11 @@ def run_selftest(quiet: bool = False, seed: int = 0):
     check("shift +1 then -1", float(np.abs(back - Ff).max()), 1e-10)
 
     # degree of a random metric on a flat torus bundle, on the Gauduchon metric
+    # of a diagonal g that is not conformally flat (a wrong-axis term shows)
     Hr = random_hermitian_metric(bu, torus, rng)
-    d = degree(bu, torus, Hr, res.metric)
+    waves = 1.0 + 0.5 * np.sin(2 * np.pi * np.stack([torus.coordinate(1), x1], -1))
+    gd = MetricField(torus, waves[..., None] * np.eye(n))
+    d = degree(torus, Hr, find_gauduchon_factor(gd).metric)
     check("torus degree", abs(d), 10.0 / N**2)
 
     # commutant dimension of the unipotent pair

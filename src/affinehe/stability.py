@@ -368,8 +368,7 @@ def _require_gauduchon(gG: MetricField):
         )
 
 
-def degree(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
-           gG: MetricField) -> float:
+def degree(torus: AffineTorus, H: np.ndarray, gG: MetricField) -> float:
     """deg_g E = int c_1(E,h) ^ omega^{n-1} / nu
     = -(1/n) int tr_g(del delbar log det h) omega^n / nu (metric h arbitrary HPD).
 
@@ -383,9 +382,8 @@ def degree(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
     return float((torus.integrate(tr_c1 * gG.volume_density()) / torus.dim).real)
 
 
-def slope(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
-          gG: MetricField) -> float:
-    return degree(bundle, torus, H, gG) / bundle.rank
+def slope(torus: AffineTorus, H: np.ndarray, gG: MetricField, rank: int) -> float:
+    return degree(torus, H, gG) / rank
 
 
 def subbundle_bundle(bundle: FlatBundle, F: FlatSubbundle) -> FlatBundle:
@@ -436,13 +434,10 @@ def stability_verdict(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     _require_gauduchon(gG)
     if H is None:
         H = canonical_metric(bundle, torus)
-    mu_E = slope(bundle, torus, H, gG)
+    mu_E = slope(torus, H, gG, bundle.rank)
     tol = 10.0 / torus.resolution**2
-    witnesses = []
-    for F in enumerate_flat_subbundles(bundle):
-        sub = subbundle_bundle(bundle, F)
-        HF = induced_metric(bundle, F, H)
-        witnesses.append((F, slope(sub, torus, HF, gG)))
+    witnesses = [(F, slope(torus, induced_metric(bundle, F, H), gG, F.rank))
+                 for F in enumerate_flat_subbundles(bundle)]
     if not witnesses:
         verdict = "irreducible-stable"
     else:

@@ -38,7 +38,7 @@ import numpy as np
 from affinehe.bundle import FlatBundle, canonical_metric, check_hpd
 from affinehe.continuation import _K_defect
 from affinehe.errors import ValidationError
-from affinehe.stability import _orth, degree, induced_metric, subbundle_bundle
+from affinehe.stability import _orth, degree, induced_metric
 
 
 @lru_cache(maxsize=None)
@@ -364,26 +364,23 @@ def he_K_defect(bundle, torus, gG, H_flat, gamma=0.0):
 
 
 def quotient_monodromy(bundle, F):
-    """Orthonormal complement basis T and the quotient action on it.
+    """Orthonormal complement basis T of F, the frame of the quotient.
 
     In the block frame [S T] each rho is block triangular; the quotient
-    bundle acts by the lower-right block.
+    bundle acts by the lower-right block T^H rho T.
     """
     S = F.basis
-    T = _orth(np.eye(bundle.rank, dtype=complex) - S @ np.conj(S.T))
-    return T, [np.conj(T.T) @ rho @ T for rho in bundle.monodromy]
+    return _orth(np.eye(bundle.rank, dtype=complex) - S @ np.conj(S.T))
 
 
 def degree_additivity_check(bundle, torus, F, gG, H=None):
     """(deg F, deg E/F, deg E, |defect|) for the exact sequence through F."""
     if H is None:
         H = canonical_metric(bundle, torus)
-    sub = subbundle_bundle(bundle, F)
     HF = induced_metric(bundle, F, H)
-    T, qmats = quotient_monodromy(bundle, F)
-    quot = FlatBundle(qmats, "complex")
+    T = quotient_monodromy(bundle, F)
     HQ = np.conj(T.T) @ H @ T
-    dF = degree(sub, torus, HF, gG)
-    dQ = degree(quot, torus, HQ, gG)
-    dE = degree(bundle, torus, H, gG)
+    dF = degree(torus, HF, gG)
+    dQ = degree(torus, HQ, gG)
+    dE = degree(torus, H, gG)
     return dF, dQ, dE, abs(dF + dQ - dE)

@@ -118,7 +118,7 @@ def test_criterion_3_degree_well_defined():
         b = build_bundle([rho])
         H1 = random_hermitian_metric(b, t, rng, amplitude=0.3)
         H2 = random_hermitian_metric(b, t, rng, amplitude=0.3)
-        d1, d2 = degree(b, t, H1, g), degree(b, t, H2, g)
+        d1, d2 = degree(t, H1, g), degree(t, H2, g)
         worst_pair = max(worst_pair, abs(d1 - d2))
         worst_abs = max(worst_abs, abs(d1), abs(d2))
         subs = enumerate_flat_subbundles(b)

@@ -480,7 +480,7 @@ def test_trace_K_identity(t64, rng):
     H = random_hermitian_metric(b, t64, rng, amplitude=0.3)
     K = mean_curvature(g, b, t64, H)
     lhs = t64.integrate(np.einsum("...aa->...", K) * g.volume_density())
-    rhs = 1 * degree(b, t64, H, g)
+    rhs = 1 * degree(t64, H, g)
     assert abs(lhs - rhs) <= 10 / 64**2
 
 

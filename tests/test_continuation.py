@@ -67,7 +67,7 @@ def test_gamma_zero_on_torus(t64, gI, rng):
     b = build_bundle([UNIPOTENT])
     H = random_hermitian_metric(b, t64, rng, amplitude=0.3)
     assert einstein_constant(b, t64, H, gI) == 0.0
-    raw = t64.dim * degree(b, t64, H, gI) / b.rank / gI.total_volume()
+    raw = t64.dim * degree(t64, H, gI) / b.rank / gI.total_volume()
     assert abs(raw) <= 10 / 64**2
 
 
@@ -232,7 +232,7 @@ def test_linearize_fd_vs_analytic_grid(dim, backend, r, eps):
 
 def test_newton_direction_freezes_linearization(monkeypatch):
     # the blowup_t2 benchmark input: every linearize_residual call is one
-    # lgmres matvec (no matvec on x = 0, no check matvec after lgmres), and a
+    # gmres matvec (no matvec on x = 0, no check matvec after gmres), and a
     # direction's eigendecompositions do not grow with its matvecs
     t = AffineTorus(2, 16)
     g = MetricField(t, np.eye(2))
@@ -249,15 +249,15 @@ def test_newton_direction_freezes_linearization(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    lgmres = krylov.lgmres
+    gmres = krylov.gmres
 
-    def counting_lgmres(matvec, rhs, psolve, **kwargs):
-        return lgmres(counting("matvec", matvec), rhs, psolve, **kwargs)
+    def counting_gmres(matvec, rhs, psolve, **kwargs):
+        return gmres(counting("matvec", matvec), rhs, psolve, **kwargs)
 
     monkeypatch.setattr(HermCalculus, "eig", counting("eig", HermCalculus.eig))
     monkeypatch.setattr(ContinuationProblem, "linearize_residual",
                         counting("linearize", ContinuationProblem.linearize_residual))
-    monkeypatch.setattr(krylov, "lgmres", counting_lgmres)
+    monkeypatch.setattr(krylov, "gmres", counting_gmres)
     per_solve = []
     for f in (f1, far):
         at = prob.res_norm(f, 0.5)
@@ -332,7 +332,7 @@ def test_matvec_differentiates_the_nonzero_pairs_of_g_inverse(N, metric, fields,
 
 
 def test_newton_direction_stops_at_its_forcing_term(monkeypatch):
-    # the blowup_t2 benchmark input away from the solution: lgmres stops at
+    # the blowup_t2 benchmark input away from the solution: gmres stops at
     # the relative residual it is given, and a loose one takes fewer matvecs
     t = AffineTorus(2, 16)
     g = MetricField(t, np.eye(2))
@@ -342,14 +342,14 @@ def test_newton_direction_stops_at_its_forcing_term(monkeypatch):
     far = prob.renormalize_det(prob.calc0.from_hermitian(random_hermitian_metric(
         b, t, np.random.default_rng(0), amplitude=0.3, modes=1)))
     solves = []
-    lgmres = krylov.lgmres
+    gmres = krylov.gmres
 
-    def recording_lgmres(matvec, rhs, psolve, **kwargs):
-        x, info, rnorm = lgmres(matvec, rhs, psolve, **kwargs)
+    def recording_gmres(matvec, rhs, psolve, **kwargs):
+        x, info, steps, rnorm = gmres(matvec, rhs, psolve, **kwargs)
         solves.append((matvec, rhs, x, info))
-        return x, info, rnorm
+        return x, info, steps, rnorm
 
-    monkeypatch.setattr(krylov, "lgmres", recording_lgmres)
+    monkeypatch.setattr(krylov, "gmres", recording_gmres)
     at = prob.res_norm(far, 0.5)
     lin, L = prob.linearization(at), at.L
     matvecs = {}
@@ -363,9 +363,11 @@ def test_newton_direction_stops_at_its_forcing_term(monkeypatch):
     assert matvecs[1e-2] < matvecs[1e-8]
     assert prob.work["newton_directions"] == 2
     assert prob.work["lgmres_unconverged"] == 0
-    # one outer lgmres cycle returns info = 1, which is counted
-    monkeypatch.setattr(krylov, "lgmres", lambda matvec, rhs, psolve, **kwargs: (
-        recording_lgmres(matvec, rhs, psolve, **(kwargs | {"maxiter": 1}))))
+    # at eta = 1e-8 the far state needs a second gmres cycle (the first
+    # meets its preconditioned estimate, not the true residual), so a cap of
+    # one cycle returns info = 1, which is counted
+    monkeypatch.setattr(krylov, "gmres", lambda matvec, rhs, psolve, **kwargs: (
+        recording_gmres(matvec, rhs, psolve, **(kwargs | {"maxiter": 1}))))
     prob.solve_newton_direction(lin, L, 1e-8)
     assert solves[-1][3] == 1
     assert prob.work["lgmres_unconverged"] == 1
@@ -673,16 +675,17 @@ def failing_stage(monkeypatch, stage, attempts):
 def test_run_reports_its_krylov_work(monkeypatch):
     # the counters in the diagnostics match an independent count of the
     # Krylov solves made inside newton_solve (directions) and outside it
-    # (tangents), the lgmres matvecs and unconverged lgmres stops of both
-    # (the background normalization runs lgmres too), the line-search trials
+    # (tangents), the gmres matvecs and unconverged gmres stops of both (the
+    # background normalization's lgmres solve is counted apart), the
+    # line-search trials
     # (the updates made inside newton_solve) and the diverged eps > 0 stages
     # (one is injected)
     counts = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
                   lgmres_unconverged=0, eps_backtracks=0, line_search_trials=0)
-    lgmres = krylov.lgmres
+    gmres, lgmres = krylov.gmres, krylov.lgmres
     solve = ContinuationProblem.solve_newton_direction
     update = ContinuationProblem.update
-    inside = []
+    inside, normalization_solves = [], []
     attempts = []
     failing_stage(monkeypatch, 3, attempts)
     newton = continuation.newton_solve
@@ -706,20 +709,25 @@ def test_run_reports_its_krylov_work(monkeypatch):
         counts["line_search_trials"] += inside == ["newton"]
         return update(self, *args)
 
-    def counting_lgmres(matvec, rhs, psolve, **kwargs):
-        if "krylov" not in inside:
-            return lgmres(matvec, rhs, psolve, **kwargs)
+    def counting_gmres(matvec, rhs, psolve, **kwargs):
+        assert "krylov" in inside
 
         def counted(v):
             counts["krylov_matvecs"] += 1
             return matvec(v)
-        x, info, rnorm = lgmres(counted, rhs, psolve, **kwargs)
+        x, info, steps, rnorm = gmres(counted, rhs, psolve, **kwargs)
         counts["lgmres_unconverged"] += info != 0
-        return x, info, rnorm
+        return x, info, steps, rnorm
+
+    def counting_lgmres(matvec, rhs, psolve, **kwargs):
+        assert "krylov" not in inside
+        normalization_solves.append(rhs)
+        return lgmres(matvec, rhs, psolve, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_solve", counting_newton)
     monkeypatch.setattr(ContinuationProblem, "solve_newton_direction", counting_solve)
     monkeypatch.setattr(ContinuationProblem, "update", counting_update)
+    monkeypatch.setattr(krylov, "gmres", counting_gmres)
     monkeypatch.setattr(krylov, "lgmres", counting_lgmres)
     t = AffineTorus(1, 32)
     g = MetricField(t, np.eye(1))
@@ -729,6 +737,7 @@ def test_run_reports_its_krylov_work(monkeypatch):
     assert res.status == "converged"
     counts["eps_backtracks"] = sum(raised for eps, raised in attempts if eps > 0)
     assert counts["krylov_matvecs"] > counts["newton_directions"] > 0
+    assert len(normalization_solves) == 1
     assert counts["tangent_solves"] > 0 and counts["eps_backtracks"] == 1
     assert counts["line_search_trials"] >= counts["newton_directions"]
     assert {k: res.diagnostics[k] for k in counts} == counts

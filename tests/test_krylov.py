@@ -23,7 +23,7 @@ from test_gauduchon import assemble_Q, bbt_metric, gauduchon_t3_seed1_metric, si
 UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
-def captured_system(solve, solver="lgmres"):
+def captured_system(solve, solver="gmres"):
     """The positional and then the keyword arguments of the one
     krylov.``solver`` call that ``solve`` makes: (matvec, b, psolve, kwargs)
     for lgmres and gmres."""
@@ -79,13 +79,20 @@ def scalar_elliptic():
     return lambda: normalize_background(b, t, hermitize(h0p), g)
 
 
-SYSTEMS = {"blowup_t2_far": blowup_t2_far, "he_polystable_t1_eps1": he_polystable_t1_eps1,
-           "scalar_elliptic": scalar_elliptic}
+# each system with the solver that solves it in the program
+SYSTEMS = {"blowup_t2_far": (blowup_t2_far, "gmres"),
+           "he_polystable_t1_eps1": (he_polystable_t1_eps1, "gmres"),
+           "scalar_elliptic": (scalar_elliptic, "lgmres")}
 
 
 @pytest.fixture(scope="module", params=list(SYSTEMS))
 def system(request):
-    return captured_system(SYSTEMS[request.param]())
+    """(matvec, b, psolve, kwargs) of the system, with kwargs rtol, atol and
+    maxiter as lgmres takes them: a Newton system's gmres tolerance
+    rtol ||b|| is lgmres's max(atol, rtol ||b||) at atol = 0."""
+    solve, solver = SYSTEMS[request.param]
+    matvec, b, psolve, kwargs = captured_system(solve(), solver)
+    return matvec, b, psolve, {"atol": 0.0} | kwargs
 
 
 def counting(matvec):
@@ -133,6 +140,26 @@ def test_lgmres_zero_rhs_makes_no_matvec(system):
     assert not x.any() and x.shape == b.shape
 
 
+def test_gmres_returns_the_true_residual_of_its_x(system):
+    # converged, and after one cycle short of rtol = 0, which no x meets,
+    # rnorm is ||A x - b|| of the x returned
+    matvec, b, psolve, kwargs = system
+    for rtol, maxiter in ((kwargs["rtol"], 40), (0.0, 1)):
+        x, info, steps, rnorm = krylov.gmres(matvec, b, psolve, rtol=rtol, maxiter=maxiter)
+        assert steps > 0 and (info == 0) == (rnorm <= rtol * np.linalg.norm(b))
+        assert rnorm == pytest.approx(np.linalg.norm(matvec(x) - b), rel=1e-12)
+    assert info == 1
+
+
+def test_gmres_zero_rhs_makes_no_matvec(system):
+    matvec, b, psolve, _ = system
+    ours, preconditioned = counting(matvec), counting(psolve)
+    x, info, steps, rnorm = krylov.gmres(ours, np.zeros_like(b), preconditioned, rtol=1e-8,
+                                         maxiter=10)
+    assert (info, steps, rnorm, ours.calls, preconditioned.calls) == (0, 0, 0.0, 0, 0)
+    assert not x.any() and x.shape == b.shape
+
+
 def test_lgmres_one_cycle_on_a_hard_system_is_unconverged():
     # the blowup_t2 off-path system at rtol 1e-12: one outer cycle does not
     # reach it, and rnorm is still the true residual, for one matvec more,
@@ -171,8 +198,8 @@ def test_gmres_matches_scipy_on_the_gauduchon_kernel_solve(metric):
     # the bordered system (Q + beta mean) phi = 1 of the gauduchon_t3 seed 1
     # input, and a complex one (a nondiagonal metric at even N): scipy's
     # gmres takes the same steps to the same solution
-    matvec, b, psolve, kwargs = captured_system(gauduchon_kernel_solve(metric()), "gmres")
-    x, info, steps = krylov.gmres(matvec, b, psolve, **kwargs)
+    matvec, b, psolve, kwargs = captured_system(gauduchon_kernel_solve(metric()))
+    x, info, steps, _ = krylov.gmres(matvec, b, psolve, **kwargs)
     assert info == 0
     assert np.linalg.norm(matvec(x) - b) <= kwargs["rtol"] * np.linalg.norm(b)
     scipy_steps = []
