@@ -109,7 +109,7 @@ def cmd_stability(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    from .continuation import run_continuation
+    from .continuation import WORK_COUNTERS, run_continuation
     from .gauduchon import find_gauduchon_factor
 
     torus, metric, bundle, out = _prepare(cfg)
@@ -138,10 +138,8 @@ def cmd_solve(cfg: RunConfig) -> int:
                            "tolerance": 10.0 / torus.resolution**2},
         },
         "steps": len(result.history),
+        **{key: result.diagnostics[key] for key in WORK_COUNTERS},
     }
-    for key in ("newton_directions", "line_search_trials", "tangent_solves",
-                "krylov_matvecs", "lgmres_unconverged", "eps_backtracks"):
-        payload[key] = result.diagnostics[key]
     if result.status == "converged":
         payload["K_defect"] = {"value": result.K_defect, "tolerance": K_DEFECT_TOL}
         dump_field(out / "final_metric.txt", torus,

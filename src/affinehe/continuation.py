@@ -7,6 +7,7 @@ eps-stage runs a damped Newton iteration on L_eps: each step solves
 DL_eps(f)[f^{1/2} s f^{1/2}] = -L_eps(f) for traceless h_0-Hermitian s and
 moves f -> f^{1/2} exp(t s) f^{1/2}, which keeps f positive and det f = 1.
 Stages start on the path's tangent; eps cuts follow the Newton contraction.
+A line bundle takes no path: rank 1 ends at the normalization.
 
 On convergence (eps below eps_min and the eps = 0 equation solvable) the
 final metric h = h_0 f satisfies K = gamma I to solver accuracy.  When the
@@ -46,6 +47,9 @@ DEFAULT_EPS_MIN = 1e-4
 DEFAULT_FACTOR = 0.5
 CUT_MIN = 0.01  # the most aggressive eps cut eps_next / eps
 THETA_TARGET = 0.1  # first Newton contraction the cut aims at (Deuflhard 2004, ch. 5)
+# work of a run; krylov_unconverged counts gmres stops with info != 0
+WORK_COUNTERS = ("newton_directions", "line_search_trials", "tangent_solves",
+                 "krylov_matvecs", "krylov_unconverged", "eps_backtracks")
 
 
 def einstein_constant(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
@@ -122,9 +126,7 @@ def normalize_background(bundle: FlatBundle, torus: AffineTorus,
     K1 = mean_curvature(gG, bundle, torus, H1)
     tr_defect = float(np.abs(np.einsum("...aa->...", K1) - r * gamma).max())
     calc1 = HermCalculus(H1)
-    eye = np.eye(r)
-    f1 = calc1.exp(-(K1 - gamma * eye))
-    f1 = calc1.hermitize(f1)
+    f1 = calc1.hermitize(calc1.exp(-(K1 - gamma * np.eye(r))))
     H0 = hermitize(pmul(H1, np.linalg.inv(f1)))
     diagnostics = {
         "gamma": gamma,
@@ -165,7 +167,8 @@ class Linearization:
 
 
 class ContinuationProblem:
-    """Fixed data of one continuity-method run: bundle, grids, h_0, gamma."""
+    """Fixed data of one eps-path run: bundle, grids, h_0, gamma.  Rank >= 2
+    only, as rank 1 ends at the normalization; Newton steps are traceless."""
 
     def __init__(self, bundle: FlatBundle, torus: AffineTorus, H0: np.ndarray,
                  gG: MetricField, gamma: float):
@@ -181,9 +184,7 @@ class ContinuationProblem:
         self.K0_shift = self.K0 - gamma * self.eye
         # symbol of -tr_g delbar del_0 at f = I
         self._symbol = laplacian_symbol(gG)
-        # work of the run; lgmres_unconverged counts gmres stops with info != 0
-        self.work = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
-                         lgmres_unconverged=0, eps_backtracks=0, line_search_trials=0)
+        self.work = dict.fromkeys(WORK_COUNTERS, 0)
 
     # -- residual ----------------------------------------------------------
     def spectrum(self, f: np.ndarray):
@@ -197,9 +198,7 @@ class ContinuationProblem:
         from f reuses.
 
         The curvature term tr_g delbar (f^{-1} del_0 f) has the same formula
-        at every rank.  At rank 1 it is tr_g delbar (f^{-1} del f), which on
-        the grid is linear in log f only up to discretization error;
-        ``linearize_residual`` is its exact derivative at every rank.
+        at every rank; ``linearize_residual`` is its exact derivative.
         """
         w, U, logf = self.spectrum(f)
         finv = np.linalg.inv(f)
@@ -237,13 +236,7 @@ class ContinuationProblem:
 
     # -- inner linear solves -------------------------------------------------
     def _traceless(self, s: np.ndarray) -> np.ndarray:
-        """Pointwise traceless part of s.
-
-        Rank one is exempt: there the whole state is its determinant, so
-        the projection would zero every Newton step.
-        """
-        if self.rank == 1:
-            return s
+        """Pointwise traceless part of s."""
         tr = np.einsum("...aa->...", s) / self.rank
         return s - tr[..., None, None] * self.eye
 
@@ -285,7 +278,7 @@ class ContinuationProblem:
         M = self.torus.raveled(self.torus.fft_divider(self._symbol + eps, (r, r)), (r, r))
         with np.errstate(over="ignore", invalid="ignore"):
             x, info, _, rnorm = krylov.gmres(A, b, M, rtol=eta, maxiter=40)
-        work["lgmres_unconverged"] += info != 0
+        work["krylov_unconverged"] += info != 0
         if not rnorm <= 0.9 * bnorm:
             raise LinearSolveStagnation(
                 f"Newton linear solve stagnated (relative residual {rnorm / bnorm:.2e})"
@@ -294,13 +287,7 @@ class ContinuationProblem:
 
     def renormalize_det(self, f: np.ndarray) -> np.ndarray:
         """Pointwise rescale to det f = 1 (exact projection onto the
-        determinant-one states every converged solution lies on).
-
-        Rank one is exempt: there the whole state is its determinant and the
-        discrete equation owns the remaining scalar degree of freedom.
-        """
-        if self.rank == 1:
-            return f
+        determinant-one states every converged solution lies on)."""
         sign, logdet = np.linalg.slogdet(f)
         scale = np.exp(-logdet.real / self.rank)
         return f * scale[..., None, None]
@@ -466,21 +453,38 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     Otherwise the path descends from the attempt's state until m_max, the
     step budget, or a retry cut above 0.97 ("stuck below").  Never silently
     returns a non-converged metric.
+
+    Rank 1 ends at the normalization, which solves its whole equation: it is
+    rerun from its own h_0 f_1 while each pass lowers K_defect, at most
+    ``max_steps`` times (defect correction, Stetter 1978).
     """
     if h0_prime is None:
         h0_prime = canonical_metric(bundle, torus)
     H0, f1, norm_diag = normalize_background(bundle, torus, h0_prime, gG)
     gamma = norm_diag["gamma"]
+    if bundle.rank == 1:
+        H = hermitize(H0 @ f1)
+        Kdef = _K_defect(gG, bundle, torus, H, gamma)
+        for _ in range(max_steps - 1):
+            H0_next, f_next, _ = normalize_background(bundle, torus, H, gG)
+            H_next = hermitize(H0_next @ f_next)
+            Kdef_next = _K_defect(gG, bundle, torus, H_next, gamma)
+            if not Kdef_next < Kdef:
+                break
+            H, Kdef = H_next, Kdef_next
+        return HEResult("converged", H, gamma, Kdef, None, [], H0,
+                        norm_diag | dict.fromkeys(WORK_COUNTERS, 0))
     problem = ContinuationProblem(bundle, torus, H0, gG, gamma)
 
     history: list[tuple[float, float, float, float]] = []
     eps, f, cut = 1.0, f1, factor
     good = None  # (eps, f, DL frozen at f, tangent) of the last accepted stage
-    retried = False
-    tried_zero_at = -10
+    retried, tried_zero_at = False, -10
 
-    def stop(status: str, blowup_data: np.ndarray | None = None, **diag) -> HEResult:
-        return HEResult(status, None, gamma, np.inf, blowup_data, history, H0,
+    def stop(status: str, blowup_data: np.ndarray | None = None,
+             H: np.ndarray | None = None, **diag) -> HEResult:
+        Kdef = np.inf if H is None else _K_defect(gG, bundle, torus, H, gamma)
+        return HEResult(status, H, gamma, Kdef, blowup_data, history, H0,
                         norm_diag | problem.work | diag)
 
     def predict() -> np.ndarray:
@@ -526,10 +530,7 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
                                 m_at_blowup=st0.m)
                 # m-drift test; st0 is converged, as only m >= m_max returns unconverged
                 if st0.m - st.m <= 0.5 and st0.m <= 0.5 * m_max:
-                    Hfin = hermitize(H0 @ st0.at.f)
-                    Kdef = _K_defect(gG, bundle, torus, Hfin, gamma)
-                    return HEResult("converged", Hfin, gamma, Kdef, None, history,
-                                    H0, norm_diag | problem.work)
+                    return stop("converged", H=hermitize(H0 @ st0.at.f))
         good = (eps, st.at.f, *problem.tangent(st.at))
         eps *= cut
         f = predict() if f_next is None else f_next

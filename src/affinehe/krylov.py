@@ -13,9 +13,9 @@ cycle is augmented by the error corrections of the last few cycles) without
 two operator applications that do no work.  Started from x0 = 0, scipy's
 first residual is A 0 - b; here A 0 is zero without a matvec.  Its last
 convergence test applies A to the x it returns, so the true residual
-||A x - b|| is returned with x.  The augmentation helps only after a
-restart, which no benchmark Newton solve reaches; the scalar solve keeps it
-while scipy stays on the import path (logm, expm, the benchmark's tracer).
+||A x - b|| is returned with x.  Only the scalar solve runs it; it stays
+because the benchmark's tracer looks ``scipy.sparse.linalg`` up in
+``sys.modules`` and fails when nothing has imported it.
 """
 
 from __future__ import annotations

@@ -165,8 +165,9 @@ def test_criterion_5_positive_cases():
     """(a) trivial rank-1 with perturbed h0 converges to the constant metric
     with K-defect <= 1e-6, on T^1 (N=64) and T^2 (N=32); (b) diag(2,3)
     converges block diagonally, off-diagonal <= 1e-6; (c) det f stays within
-    1e-6 of one along every run; (d) tr K_0 = r gamma after normalization
-    within 10 N^-2."""
+    1e-6 of one along the diag(2,3) run, and the rank-1 runs, which end at
+    the normalization, do no Newton work; (d) tr K_0 = r gamma after
+    normalization within 10 N^-2."""
     # (a) T^1
     t = AffineTorus(1, 64)
     g = MetricField(t, np.eye(1))
@@ -202,10 +203,13 @@ def test_criterion_5_positive_cases():
     report("5b off-diagonal", float(np.abs(res_b.final_metric[..., 0, 1]).max()),
            1e-6)
 
-    # (c) determinant defect along all three runs
-    worst_det = max(max(r[3] for r in res.history)
-                    for res in (res_a, res_a2, res_b))
-    report("5c det f defect along runs", worst_det, 1e-6)
+    # (c) determinant defect along the rank-2 run; the rank-1 runs take no
+    # eps-path
+    report("5c det f defect along runs", max(r[3] for r in res_b.history), 1e-6)
+    for res in (res_a, res_a2):
+        assert res.history == []
+        assert res.diagnostics["newton_directions"] == 0
+        assert res.diagnostics["krylov_matvecs"] == 0
 
     # (d) normalization identity for the runs above
     worst_tr = max(res.diagnostics["trK_defect"]

@@ -132,7 +132,13 @@ def test_missing_config_is_validation_error():
     assert main(["solve", "--config", "/nonexistent/x.ini"]) == 1
 
 
+WORK_KEYS = ("newton_directions", "line_search_trials", "tangent_solves",
+             "krylov_matvecs", "krylov_unconverged", "eps_backtracks")
+
+
 def test_cli_solve_converged(tmp_path):
+    # rank 1 ends at the background normalization: no eps-path rows and no
+    # Newton work
     p = write(tmp_path / "c.ini", BASE.format(
         N=32, rank=1, field="complex", monodromy="monodromy1 = 1",
         out=tmp_path / "out") + "\n[perturbation]\namplitude = 0.4\nmodes = 1\n")
@@ -140,13 +146,28 @@ def test_cli_solve_converged(tmp_path):
     rep = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert rep["status"] == "converged"
     assert rep["K_defect"]["value"] <= rep["K_defect"]["tolerance"]
-    # the path predictor's tangent solves are counted apart from the
-    # Newton directions
+    assert rep["steps"] == 0
+    assert {key: rep[key] for key in WORK_KEYS} == dict.fromkeys(WORK_KEYS, 0)
+    log = (tmp_path / "out" / "convergence_log.csv").read_text().splitlines()
+    assert log == ["step,epsilon,residual,m,det_defect"]
+    assert (tmp_path / "out" / "final_metric.txt").exists()
+
+
+def test_cli_solve_converged_counts_its_path_work(tmp_path):
+    # T^1 N=32 diag(2,3), perturbed: the path predictor's tangent solves are
+    # counted apart from the Newton directions
+    p = write(tmp_path / "c.ini", BASE.format(
+        N=32, rank=2, field="complex", monodromy="monodromy1 = 2 0 0 3",
+        out=tmp_path / "out") + "\n[perturbation]\namplitude = 0.1\nmodes = 1\n")
+    assert main(["solve", "--config", p, "--quiet"]) == 0
+    rep = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert rep["status"] == "converged"
+    assert rep["K_defect"]["value"] <= rep["K_defect"]["tolerance"]
     assert rep["tangent_solves"] > 0 and rep["newton_directions"] > 0
     assert rep["eps_backtracks"] == 0
     log = (tmp_path / "out" / "convergence_log.csv").read_text().splitlines()
     assert log[0] == "step,epsilon,residual,m,det_defect"
-    assert (tmp_path / "out" / "final_metric.txt").exists()
+    assert len(log) == rep["steps"] + 1 > 1
 
 
 def test_cli_solve_blowup_chains_destabilizer(tmp_path):

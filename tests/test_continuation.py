@@ -5,12 +5,15 @@ import warnings
 import numpy as np
 import pytest
 from derivatives import d_fL, d_fL_fd
+from hypothesis import example, given
+from hypothesis import strategies as st
 from oracles import he_K_defect, herm_defect
 
 from affinehe.bundle import (
     HermCalculus,
     build_bundle,
     canonical_metric,
+    hermitize,
     random_hermitian_metric,
 )
 import affinehe.continuation as continuation
@@ -34,6 +37,7 @@ from affinehe.continuation import (
 from affinehe.destabilizer import destabilize
 from affinehe.errors import Diverged
 from affinehe.forms import MetricField
+from affinehe.gauduchon import find_gauduchon_factor
 from affinehe.stability import degree, stability_verdict
 from affinehe.torus import AffineTorus, random_smooth_scalar
 from test_gauduchon import bbt_metric
@@ -362,7 +366,7 @@ def test_newton_direction_stops_at_its_forcing_term(monkeypatch):
         assert np.linalg.norm(matvec(x) - rhs) <= eta * np.linalg.norm(rhs)
     assert matvecs[1e-2] < matvecs[1e-8]
     assert prob.work["newton_directions"] == 2
-    assert prob.work["lgmres_unconverged"] == 0
+    assert prob.work["krylov_unconverged"] == 0
     # at eta = 1e-8 the far state needs a second gmres cycle (the first
     # meets its preconditioned estimate, not the true residual), so a cap of
     # one cycle returns info = 1, which is counted
@@ -370,7 +374,7 @@ def test_newton_direction_stops_at_its_forcing_term(monkeypatch):
         recording_gmres(matvec, rhs, psolve, **(kwargs | {"maxiter": 1}))))
     prob.solve_newton_direction(lin, L, 1e-8)
     assert solves[-1][3] == 1
-    assert prob.work["lgmres_unconverged"] == 1
+    assert prob.work["krylov_unconverged"] == 1
 
 
 @pytest.mark.parametrize("tol_eff", [1e-300, 1e-14, 1e-8, 1.0, 1e300])
@@ -409,11 +413,13 @@ def test_linearize_richardson_order(t64, gI, rng):
 # ---------------------------------------------------------------------------
 
 def test_newton_at_solution_zero_iterations(t64, gI):
-    b = build_bundle([np.array([[1.0]])])
+    # f = I solves L_eps = 0 for diag(2,3) on the canonical metric
+    b = build_bundle([np.diag([2.0, 3.0])])
     prob = ContinuationProblem(b, t64, canonical_metric(b, t64), gI, 0.0)
     st = newton_solve(prob, 0.5, canonical_metric(b, t64))
     assert st.converged
     assert st.history == []
+    assert prob.work["newton_directions"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -595,7 +601,56 @@ def test_run_trivial_rank1_recovers_constant(t64, gI):
     assert res.K_defect <= 1e-6
     vals = res.final_metric[..., 0, 0].real
     assert (vals.max() - vals.min()) / vals.mean() < 1e-8
-    assert max(r[3] for r in res.history) <= 1e-6  # det defect along the run
+    # rank 1 ends at the background normalization: no eps-path, no Krylov work
+    assert res.history == []
+    assert res.diagnostics["krylov_matvecs"] == 0
+
+
+@st.composite
+def rank1_grids(draw):
+    """(dim, N, backend) within the suite's grid caps, odd and even N; fd
+    only on T^1 (at even N on T^2 and T^3 the fd Gauduchon kernel of the
+    conformal metric is not one-dimensional)."""
+    dim = draw(st.integers(1, 3))
+    N = draw(st.integers(8, {1: 32, 2: 16, 3: 9}[dim]))
+    return dim, N, draw(st.sampled_from(["spectral", "fd"] if dim == 1 else ["spectral"]))
+
+
+@given(grid=rank1_grids(),
+       radii=st.lists(st.floats(0.5, 3.0), min_size=3, max_size=3),
+       angles=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+       conformal=st.booleans(), amplitude=st.sampled_from([0.0, 0.1, 0.3]),
+       seed=st.integers(0, 2**16))
+@example(grid=(3, 8, "spectral"), radii=[2.0, 1.5, 0.5], angles=[0.3, 2.0, -1.0],
+         conformal=False, amplitude=0.3, seed=0)
+def test_rank1_ends_at_the_normalization(grid, radii, angles, conformal, amplitude, seed):
+    # a flat line bundle with monodromies lambda_k = r e^{i theta} has the
+    # HE metric c |lambda|^{-2x} in the flat frame, constant in the periodic
+    # gauge; the run reaches it with no eps-path and no Krylov matvec, from a
+    # perturbed background, on a constant non-diagonal metric or on the
+    # Gauduchon metric of (1 + 0.5 sin 2 pi x^1) I.  The example is a T^3
+    # N=8 input that the eps-path ended max-iters.
+    dim, N, backend = grid
+    t = AffineTorus(dim, N, backend)
+    rng = np.random.default_rng(seed)
+    if conformal:
+        c = 1 + 0.5 * np.sin(2 * np.pi * t.coordinate(0))
+        g = find_gauduchon_factor(MetricField(t, np.eye(dim) * c[..., None, None])).metric
+    else:
+        B = rng.standard_normal((dim, dim))
+        g = MetricField(t, np.eye(dim) + 0.5 * B @ B.T)
+    b = build_bundle([np.array([[r * np.exp(1j * th)]])
+                      for r, th in zip(radii[:dim], angles[:dim])])
+    h0p = canonical_metric(b, t)
+    if amplitude:
+        h0p = hermitize(h0p @ random_hermitian_metric(b, t, rng, amplitude=amplitude, modes=1))
+    res = run_continuation(b, t, g, h0p)
+    assert res.status == "converged"
+    assert res.K_defect <= 1e-11
+    assert res.history == []
+    assert res.diagnostics["krylov_matvecs"] == 0
+    vals = res.final_metric[..., 0, 0].real
+    assert (vals.max() - vals.min()) / vals.mean() <= 1e-10
 
 
 def test_run_polystable_block_diagonal(t64, gI, rng):
@@ -681,7 +736,7 @@ def test_run_reports_its_krylov_work(monkeypatch):
     # (the updates made inside newton_solve) and the diverged eps > 0 stages
     # (one is injected)
     counts = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
-                  lgmres_unconverged=0, eps_backtracks=0, line_search_trials=0)
+                  krylov_unconverged=0, eps_backtracks=0, line_search_trials=0)
     gmres, lgmres = krylov.gmres, krylov.lgmres
     solve = ContinuationProblem.solve_newton_direction
     update = ContinuationProblem.update
@@ -716,7 +771,7 @@ def test_run_reports_its_krylov_work(monkeypatch):
             counts["krylov_matvecs"] += 1
             return matvec(v)
         x, info, steps, rnorm = gmres(counted, rhs, psolve, **kwargs)
-        counts["lgmres_unconverged"] += info != 0
+        counts["krylov_unconverged"] += info != 0
         return x, info, steps, rnorm
 
     def counting_lgmres(matvec, rhs, psolve, **kwargs):
