@@ -379,10 +379,19 @@ class HermCalculus:
     def from_hermitian(self, S: np.ndarray) -> np.ndarray:
         return pmul(self.isqrt, S, self.sqrt)
 
-    def eig(self, F: np.ndarray):
+    def eig(self, F: np.ndarray, S: np.ndarray | None = None):
         """Eigenvalues (real, ascending) and h-orthonormal frame of an
-        h-self-adjoint field."""
-        return np.linalg.eigh(hermitize(pmul(self.sqrt, F, self.isqrt)))
+        h-self-adjoint field F, diagonalized through its Hermitian image
+        S = h^{1/2} F h^{-1/2}, which a caller that has it passes."""
+        if S is None:
+            S = pmul(self.sqrt, F, self.isqrt)
+        return np.linalg.eigh(hermitize(S))
+
+    def frame(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P = h^{-1/2} U and Q = U^dag h^{1/2} for an h-orthonormal
+        eigenframe U from ``eig``: then F = P diag(w) Q, and every function
+        g(F) = P diag(g(w)) Q is one product."""
+        return pmul(self.isqrt, U), pmul(np.conj(np.swapaxes(U, -1, -2)), self.sqrt)
 
     def from_eig(self, U: np.ndarray, fw: np.ndarray) -> np.ndarray:
         """The h-self-adjoint field with h-orthonormal eigenframe U (as
@@ -394,14 +403,11 @@ class HermCalculus:
         w, U = self.eig(F)
         return self.from_eig(U, np.exp(np.minimum(w, 500.0)))
 
-    def dlog(self, w: np.ndarray, U: np.ndarray):
+    def dlog(self, w: np.ndarray, P: np.ndarray, Q: np.ndarray):
         """The Frechet derivative Phi -> Dlog_F[Phi] of log at the HPD field
-        F with eigendecomposition (w, U) from ``eig`` (complex-linear): the
-        Daleckii-Krein P ((Q Phi P) * ratio) Q with P = h^{-1/2} U,
-        Q = U^dag h^{1/2}."""
+        F = P diag(w) Q, with (P, Q) from ``frame`` (complex-linear): the
+        Daleckii-Krein P ((Q Phi P) * ratio) Q."""
         w = np.maximum(w, 1e-300)
-        P = pmul(self.isqrt, U)
-        Q = pmul(np.conj(np.swapaxes(U, -1, -2)), self.sqrt)
         wi = w[..., :, None]
         wj = w[..., None, :]
         diff = wi - wj

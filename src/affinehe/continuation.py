@@ -101,15 +101,25 @@ def normalize_background(bundle: FlatBundle, torus: AffineTorus,
     """Produce the normalized background h_0 with tr K_0 = r gamma and the
     eps = 1 solution f_1; gamma is ``diagnostics["gamma"]``.
 
-    Conformally rescales h_0' by exp(rho) so that the trace of the mean
-    curvature is the constant r gamma, then sets f_1 = exp(-K_1 + gamma I)
-    and h_0 = h_1 f_1^{-1}; by construction L_1(f_1) = 0 up to
-    discretization error.
+    Conformally rescales h_0' to h_1 = e^rho h_0' (``rescale_trace``), then
+    sets f_1 = exp(-K_1 + gamma I) and h_0 = h_1 f_1^{-1}; by construction
+    L_1(f_1) = 0 up to discretization error.
     """
-    r = bundle.rank
     gamma = einstein_constant(bundle, torus, h0_prime, gG)
-    K0p = mean_curvature(gG, bundle, torus, h0_prime)
-    tr0 = np.einsum("...aa->...", K0p)
+    H1, K1, diagnostics = rescale_trace(
+        bundle, torus, gG, h0_prime, mean_curvature(gG, bundle, torus, h0_prime), gamma)
+    calc1 = HermCalculus(H1)
+    f1 = calc1.hermitize(calc1.exp(-(K1 - gamma * np.eye(bundle.rank))))
+    H0 = hermitize(pmul(H1, np.linalg.inv(f1)))
+    return H0, f1, {"gamma": gamma} | diagnostics
+
+
+def rescale_trace(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
+                  h: np.ndarray, K: np.ndarray, gamma: float):
+    """The conformal rescaling h_1 = e^rho h with tr K(h_1) = r gamma, from h
+    and its mean curvature K: returns (h_1, K(h_1), diagnostics)."""
+    r = bundle.rank
+    tr0 = np.einsum("...aa->...", K)
     # tr K is real in exact arithmetic; residual imaginary content is
     # truncation noise of the derivative backend
     imag_noise = float(np.abs(tr0.imag).max())
@@ -121,33 +131,30 @@ def normalize_background(bundle: FlatBundle, torus: AffineTorus,
     rhs = tr0.real / r - gamma
     imbalance = abs(pairing(gG, rhs, np.ones(torus.grid_shape)))
     rho, solve_res = solve_scalar_elliptic(gG, rhs)
-    rho = rho.real
-    H1 = hermitize(np.exp(rho)[..., None, None] * h0_prime)
+    H1 = hermitize(np.exp(rho.real)[..., None, None] * h)
     K1 = mean_curvature(gG, bundle, torus, H1)
     tr_defect = float(np.abs(np.einsum("...aa->...", K1) - r * gamma).max())
-    calc1 = HermCalculus(H1)
-    f1 = calc1.hermitize(calc1.exp(-(K1 - gamma * np.eye(r))))
-    H0 = hermitize(pmul(H1, np.linalg.inv(f1)))
-    diagnostics = {
-        "gamma": gamma,
+    return H1, K1, {
         "trK_defect": tr_defect,
         "rhs_imbalance": imbalance,
         "poisson_residual": solve_res,
         "trK_imag_noise": imag_noise,
     }
-    return H0, f1, diagnostics
 
 
 @dataclass(frozen=True)
 class Evaluation:
     """L_eps at one state f, with what evaluating it computed that the Newton
-    step from f reuses: one h_0-eigendecomposition of f, f^{-1} and
-    f^{-1} del_0 f.  A line search keeps the record of its best trial."""
+    step from f reuses: one h_0-eigendecomposition f = P diag(w) Q, log f,
+    f^{-1} = P diag(1/w) Q and f^{-1} del_0 f.  A line search keeps the
+    record of its best trial."""
 
     f: np.ndarray
     eps: float
     w: np.ndarray             # eigenvalues of f, ascending (``HermCalculus.eig``)
     U: np.ndarray             # their h_0-orthonormal frame
+    P: np.ndarray             # h_0^{-1/2} U (``HermCalculus.frame``)
+    Q: np.ndarray             # U^dag h_0^{1/2}
     logf: np.ndarray          # log f
     finv: np.ndarray          # f^{-1}
     finv_d0f: np.ndarray      # f^{-1} del_0 f, (1,0)-form coefficients grid + (n, r, r)
@@ -157,12 +164,15 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class Linearization:
-    """What DL_eps(f) needs that depends only on f, frozen per Newton direction."""
+    """What DL_eps(f) and the line search from f need that depends only on
+    f, frozen per Newton direction, all from f's evaluation."""
 
     eps: float
     finv: np.ndarray          # f^{-1}
     finv_d0f: np.ndarray      # f^{-1} del_0 f, (1,0)-form coefficients grid + (n, r, r)
-    sqrt_f: np.ndarray        # f^{1/2} (h_0-functional calculus)
+    sqrt_f: np.ndarray        # f^{1/2}
+    root: np.ndarray          # h_0^{1/2} f^{1/2} h_0^{-1/2}, the Hermitian image of f^{1/2}
+    logdet: np.ndarray        # log det f, pointwise
     dlog: Callable | None     # Phi -> Dlog_f[Phi]; None at eps = 0
 
 
@@ -187,25 +197,35 @@ class ContinuationProblem:
         self.work = dict.fromkeys(WORK_COUNTERS, 0)
 
     # -- residual ----------------------------------------------------------
-    def spectrum(self, f: np.ndarray):
-        """The h_0-eigendecomposition (w, U) of f and log f from it."""
-        w, U = self.calc0.eig(f)
+    def spectrum(self, f: np.ndarray, image: np.ndarray | None = None):
+        """The h_0-eigendecomposition (w, U) of f, through its Hermitian
+        image when given, and log f from its image U diag(log w) U^dag: the
+        frame product P diag(log w) Q is the same field, but its round-off
+        sent two conjugated-unipotent blow-ups (T^2 N=12) to max-iters."""
+        w, U = self.calc0.eig(f, image)
         return w, U, self.calc0.from_eig(U, np.log(np.maximum(w, 1e-30)))
 
-    def res_norm(self, f: np.ndarray, eps: float) -> Evaluation:
+    def res_norm(self, f: np.ndarray, eps: float,
+                 image: np.ndarray | None = None) -> Evaluation:
         """Evaluate L_eps at f: the field L_eps(f) (gauge storage), its
         sup_x |L_eps(f)|_{h_0} (``res``) and the pieces that the Newton step
-        from f reuses.
+        from f reuses.  A line-search trial comes with its Hermitian image
+        h_0^{1/2} f h_0^{-1/2} (``image``), diagonalized in place of f.
 
         The curvature term tr_g delbar (f^{-1} del_0 f) has the same formula
         at every rank; ``linearize_residual`` is its exact derivative.
+        Raises LinAlgError when f is not numerically positive definite.
         """
-        w, U, logf = self.spectrum(f)
-        finv = np.linalg.inv(f)
+        w, U, logf = self.spectrum(f, image)
+        if not w[..., 0].min() > np.finfo(float).tiny:
+            raise np.linalg.LinAlgError("f is numerically singular")
+        P, Q = self.calc0.frame(U)
+        finv = pmul(P / w[..., None, :], Q)
         d0f = covariant_del0(self.bundle, self.torus, self.del0, f)
         finv_d0f = pmul(finv[..., None, :, :], d0f)
         L = self.K0_shift + end_delbar(self.gG, self.bundle, finv_d0f) + eps * logf
-        return Evaluation(f, eps, w, U, logf, finv, finv_d0f, L, self.calc0.sup_norm(L))
+        return Evaluation(f, eps, w, U, P, Q, logf, finv, finv_d0f, L,
+                          self.calc0.sup_norm(L))
 
     def m_and_det_defect(self, w: np.ndarray, logf: np.ndarray) -> tuple[float, float]:
         """m = max over the grid of the flat-frame Frobenius norm of log f,
@@ -218,11 +238,15 @@ class ContinuationProblem:
 
     # -- linearization ------------------------------------------------------
     def linearization(self, at: Evaluation) -> Linearization:
-        """Freeze DL_eps at the evaluated f: f^{-1}, f^{-1} del_0 f, f^{1/2}
-        and Dlog_f, all from the evaluation."""
-        dlog = self.calc0.dlog(at.w, at.U) if at.eps != 0.0 else None
-        sqrt_f = self.calc0.from_eig(at.U, np.sqrt(np.maximum(at.w, 1e-30)))
-        return Linearization(at.eps, at.finv, at.finv_d0f, sqrt_f, dlog)
+        """Freeze DL_eps at the evaluated f: f^{-1}, f^{-1} del_0 f, log det f
+        and Dlog_f from f's frame, and f^{1/2} from its Hermitian image R,
+        the R that every trial along the direction is built from
+        (``update``), so the Newton model and its trials share one root."""
+        dlog = self.calc0.dlog(at.w, at.P, at.Q) if at.eps != 0.0 else None
+        w = np.maximum(at.w, 1e-30)
+        root = pmul(at.U * np.sqrt(w)[..., None, :], np.conj(np.swapaxes(at.U, -1, -2)))
+        return Linearization(at.eps, at.finv, at.finv_d0f, self.calc0.from_hermitian(root),
+                             root, np.log(w).sum(axis=-1), dlog)
 
     def linearize_residual(self, lin: Linearization, phi: np.ndarray) -> np.ndarray:
         """The Krylov matvec: the derivative of L_eps at the f frozen in ``lin``
@@ -245,8 +269,11 @@ class ContinuationProblem:
         """Solve DL(f)[f^{1/2} s f^{1/2}] = -L over traceless Hermitian s,
         with DL frozen at f in ``lin``, to the relative linear residual
         ``eta`` that ``newton_solve`` takes from ``forcing_term``; counted in
-        ``work[counter]``.  Returns s by its eigendecomposition
-        (``HermCalculus.eig``), which every step length along it reuses.
+        ``work[counter]``.  Returns s as (sigma, C): sigma its eigenvalues and
+        C = R V, with V the eigenframe (``HermCalculus.eig``) of the Hermitian
+        image of the gmres solution and R the Hermitian image of f^{1/2}
+        (``Linearization.root``); every step length along s reuses them
+        (``update``).
 
         The traceless constraint restricts the step to determinant-preserving
         moves, where every solution lives (det f = 1); the pointwise-trace
@@ -283,23 +310,21 @@ class ContinuationProblem:
             raise LinearSolveStagnation(
                 f"Newton linear solve stagnated (relative residual {rnorm / bnorm:.2e})"
             )
-        return self.calc0.eig(self._traceless(self.calc0.hermitize(x.reshape(L.shape))))
-
-    def renormalize_det(self, f: np.ndarray) -> np.ndarray:
-        """Pointwise rescale to det f = 1 (exact projection onto the
-        determinant-one states every converged solution lies on)."""
-        sign, logdet = np.linalg.slogdet(f)
-        scale = np.exp(-logdet.real / self.rank)
-        return f * scale[..., None, None]
+        sigma, V = self.calc0.eig(self._traceless(x.reshape(L.shape)))
+        return sigma, pmul(lin.root, V)
 
     def update(self, lin: Linearization, s: tuple[np.ndarray, np.ndarray],
-               step: float = 1.0) -> np.ndarray:
-        """f -> f^{1/2} exp(step s) f^{1/2} at the f frozen in ``lin``, for s
-        given by its eigendecomposition; stays Hermitian positive."""
-        w, U = s
+               step: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """The trial f^{1/2} exp(step s) f^{1/2} at the f frozen in ``lin``
+        for s = (sigma, C) from ``solve_newton_direction``, rescaled to det 1,
+        and its Hermitian image T = C diag(exp(step sigma)) C^dag
+        exp(-(log det f + step sum sigma) / r), positive by construction."""
+        sigma, C = s
+        shift = (lin.logdet + step * sigma.sum(axis=-1)) / self.rank
         # clip keeps a wild Newton trial finite; the line search rejects it
-        exp_s = self.calc0.from_eig(U, np.exp(np.minimum(step * w, 500.0)))
-        return self.calc0.hermitize(pmul(lin.sqrt_f, exp_s, lin.sqrt_f))
+        e = np.exp(np.minimum(step * sigma - shift[..., None], 500.0))
+        T = hermitize(pmul(C * e[..., None, :], np.conj(np.swapaxes(C, -1, -2))))
+        return self.calc0.from_hermitian(T), T
 
     def tangent(self, at: Evaluation) -> tuple[Linearization, tuple[np.ndarray, np.ndarray]]:
         """DL_eps frozen at an evaluated solution f of L_eps = 0, and the
@@ -311,7 +336,7 @@ class ContinuationProblem:
             return lin, self.solve_newton_direction(
                 lin, at.eps * at.logf, ETA_MAX, "tangent_solves")
         except LinearSolveStagnation:
-            return lin, self.calc0.eig(np.zeros_like(lin.finv))
+            return lin, (np.zeros(at.w.shape), lin.root)
 
 
 @dataclass
@@ -394,11 +419,11 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
             problem.work["line_search_trials"] += 1
             # a wild trial may overflow; it is rejected before its evaluation
             with np.errstate(over="ignore", invalid="ignore"):
-                f_try = problem.renormalize_det(problem.update(lin, s, 0.5**k))
+                f_try, image = problem.update(lin, s, 0.5**k)
             if not np.isfinite(f_try).all():
                 continue
             try:
-                trial = problem.res_norm(f_try, eps)
+                trial = problem.res_norm(f_try, eps, image)
             except np.linalg.LinAlgError:  # a numerically singular trial
                 continue
             if not np.isfinite(trial.res):
@@ -422,10 +447,9 @@ def newton_solve(problem: ContinuationProblem, eps: float, f_init: np.ndarray,
     return state
 
 
-def _K_defect(gG: MetricField, bundle: FlatBundle, torus: AffineTorus,
-              H: np.ndarray, gamma: float) -> float:
-    """sup_x Frobenius norm of K(h) - gamma I for a gauge-stored metric."""
-    D = mean_curvature(gG, bundle, torus, H) - gamma * np.eye(bundle.rank)
+def _K_defect(K: np.ndarray, gamma: float) -> float:
+    """sup_x Frobenius norm of K - gamma I for a mean curvature K (gauge)."""
+    D = K - gamma * np.eye(K.shape[-1])
     return float(np.sqrt(np.abs(
         np.einsum("...ab,...ba->...", D, np.conj(np.swapaxes(D, -1, -2)))
     )).max())
@@ -454,26 +478,30 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     step budget, or a retry cut above 0.97 ("stuck below").  Never silently
     returns a non-converged metric.
 
-    Rank 1 ends at the normalization, which solves its whole equation: it is
-    rerun from its own h_0 f_1 while each pass lowers K_defect, at most
-    ``max_steps`` times (defect correction, Stetter 1978).
+    Rank 1 ends at the conformal rescaling of the normalization
+    (``rescale_trace``), which solves its whole equation: it is rerun from
+    its own h_1 while each pass lowers K_defect, at most ``max_steps``
+    times (defect correction, Stetter 1978).  Each pass computes one mean
+    curvature, that of its h_1, which is both its K_defect and the next
+    pass's input; the result has no h_0.
     """
     if h0_prime is None:
         h0_prime = canonical_metric(bundle, torus)
-    H0, f1, norm_diag = normalize_background(bundle, torus, h0_prime, gG)
-    gamma = norm_diag["gamma"]
     if bundle.rank == 1:
-        H = hermitize(H0 @ f1)
-        Kdef = _K_defect(gG, bundle, torus, H, gamma)
+        gamma = einstein_constant(bundle, torus, h0_prime, gG)
+        H, K, norm_diag = rescale_trace(
+            bundle, torus, gG, h0_prime, mean_curvature(gG, bundle, torus, h0_prime), gamma)
+        Kdef = _K_defect(K, gamma)
         for _ in range(max_steps - 1):
-            H0_next, f_next, _ = normalize_background(bundle, torus, H, gG)
-            H_next = hermitize(H0_next @ f_next)
-            Kdef_next = _K_defect(gG, bundle, torus, H_next, gamma)
+            H_next, K_next, _ = rescale_trace(bundle, torus, gG, H, K, gamma)
+            Kdef_next = _K_defect(K_next, gamma)
             if not Kdef_next < Kdef:
                 break
-            H, Kdef = H_next, Kdef_next
-        return HEResult("converged", H, gamma, Kdef, None, [], H0,
-                        norm_diag | dict.fromkeys(WORK_COUNTERS, 0))
+            H, K, Kdef = H_next, K_next, Kdef_next
+        return HEResult("converged", H, gamma, Kdef, None, [], None,
+                        {"gamma": gamma} | norm_diag | dict.fromkeys(WORK_COUNTERS, 0))
+    H0, f1, norm_diag = normalize_background(bundle, torus, h0_prime, gG)
+    gamma = norm_diag["gamma"]
     problem = ContinuationProblem(bundle, torus, H0, gG, gamma)
 
     history: list[tuple[float, float, float, float]] = []
@@ -483,14 +511,14 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
 
     def stop(status: str, blowup_data: np.ndarray | None = None,
              H: np.ndarray | None = None, **diag) -> HEResult:
-        Kdef = np.inf if H is None else _K_defect(gG, bundle, torus, H, gamma)
+        Kdef = np.inf if H is None else _K_defect(mean_curvature(gG, bundle, torus, H), gamma)
         return HEResult(status, H, gamma, Kdef, blowup_data, history, H0,
                         norm_diag | problem.work | diag)
 
     def predict() -> np.ndarray:
         _, f0, lin, sdot = good
-        f_pred = problem.renormalize_det(problem.update(lin, sdot, np.log(cut)))
-        w, _, logf = problem.spectrum(f_pred)
+        f_pred, image = problem.update(lin, sdot, np.log(cut))
+        w, _, logf = problem.spectrum(f_pred, image)
         return f_pred if problem.m_and_det_defect(w, logf)[0] < m_max else f0
 
     for steps in range(1, max_steps + 1):

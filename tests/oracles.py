@@ -20,6 +20,10 @@ residual from Q's terms, tr_g del delbar (``laplacian_type``) and the degree
 pair, the oracle for the derivative matrices.  The h-pairing helpers check
 the bundle's functional calculus; ``he_K_defect`` and
 ``degree_additivity_check`` check solved metrics and degrees.
+``newton_trial`` is the Newton line-search trial f^{1/2} exp(t s) f^{1/2}
+built with an h-adjoint and a determinant, as the continuation built it
+before its trials came from the h_0-eigenframe; ``renormalize_det``
+projects a test state onto det f = 1.
 
 ``EndForm`` with its Dolbeault operators is the End(E)-valued form calculus
 that the bundle's array operators replace: all n^2 components of delbar of a
@@ -35,7 +39,7 @@ from math import comb
 
 import numpy as np
 
-from affinehe.bundle import FlatBundle, canonical_metric, check_hpd
+from affinehe.bundle import FlatBundle, canonical_metric, check_hpd, mean_curvature
 from affinehe.continuation import _K_defect
 from affinehe.errors import ValidationError
 from affinehe.stability import _orth, degree, induced_metric
@@ -356,11 +360,24 @@ def first_chern_form(bundle, torus, H):
     return -dolbeault_del(dolbeault_delbar(u))
 
 
+def renormalize_det(f):
+    """Pointwise rescale to det f = 1."""
+    sign, logdet = np.linalg.slogdet(f)
+    return f * np.exp(-logdet.real / f.shape[-1])[..., None, None]
+
+
+def newton_trial(calc, sqrt_f, w, U, step):
+    """renormalize_det of the h-Hermitian part of f^{1/2} exp(step s)
+    f^{1/2}, for s = calc.from_eig(U, w) and f^{1/2} = ``sqrt_f``."""
+    exp_s = calc.from_eig(U, np.exp(step * w))
+    return renormalize_det(calc.hermitize(sqrt_f @ exp_s @ sqrt_f))
+
+
 def he_K_defect(bundle, torus, gG, H_flat, gamma=0.0):
     """sup_x Frobenius norm of K(h) - gamma I for a flat-frame metric."""
     ec = bundle if bundle.field == "complex" else FlatBundle(bundle.monodromy, "complex")
     Hg = ec.gauge(torus).herm_to_gauge(np.asarray(H_flat, dtype=complex))
-    return _K_defect(gG, ec, torus, Hg, gamma)
+    return _K_defect(mean_curvature(gG, ec, torus, Hg), gamma)
 
 
 def quotient_monodromy(bundle, F):

@@ -7,13 +7,14 @@ import pytest
 from derivatives import d_fL, d_fL_fd
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import he_K_defect, herm_defect
+from oracles import he_K_defect, herm_defect, newton_trial, renormalize_det
 
 from affinehe.bundle import (
     HermCalculus,
     build_bundle,
     canonical_metric,
     hermitize,
+    pmul,
     random_hermitian_metric,
 )
 import affinehe.continuation as continuation
@@ -243,7 +244,7 @@ def test_newton_direction_freezes_linearization(monkeypatch):
     b = build_bundle([UNIPOTENT, np.eye(2)])
     H0, f1, _ = normalize_background(b, t, canonical_metric(b, t), g)
     prob = ContinuationProblem(b, t, H0, g, 0.0)
-    far = prob.renormalize_det(prob.calc0.from_hermitian(random_hermitian_metric(
+    far = renormalize_det(prob.calc0.from_hermitian(random_hermitian_metric(
         b, t, np.random.default_rng(0), amplitude=0.3, modes=1)))
     counts = dict(eig=0, linearize=0, matvec=0)
 
@@ -274,6 +275,107 @@ def test_newton_direction_freezes_linearization(monkeypatch):
     assert per_solve[0]["eig"] == per_solve[1]["eig"]
 
 
+def dag(X):
+    return np.conj(np.swapaxes(X, -1, -2))
+
+
+def traceless(s):
+    r = s.shape[-1]
+    return s - (np.einsum("...aa->...", s) / r)[..., None, None] * np.eye(r)
+
+
+@given(dim=st.integers(1, 2), r=st.integers(2, 3), conjugated=st.booleans(),
+       amplitude=st.sampled_from([0.3, 1.0]), step=st.sampled_from([1.0, 0.5, 2**-8, -0.7]),
+       seed=st.integers(0, 2**16))
+def test_newton_state_frame_matches_the_reference_formulas(dim, r, conjugated, amplitude,
+                                                           step, seed):
+    # log f, f^{-1}, f^{1/2} and Dlog_f from the frame of f's one
+    # eigendecomposition, and a line-search trial built from a Newton
+    # direction's (sigma, C), against from_eig, LAPACK's inv, the two-sided
+    # Daleckii-Krein formula and the trial as the h_0-adjoint and slogdet
+    # built it; h_0 is a constant metric P^dag P with cond(P) <= 10 (the
+    # canonical metric in a conjugated frame) or a random smooth one
+    rng = np.random.default_rng(seed)
+    t = AffineTorus(dim, 8)
+    J = np.eye(r) + np.eye(r, k=1)
+    b = build_bundle([J, np.eye(r)][:dim])
+    if conjugated:
+        P = np.eye(r) + 0.5 * rng.standard_normal((r, r))
+        while np.linalg.cond(P) > 10:
+            P = np.eye(r) + 0.5 * rng.standard_normal((r, r))
+        H0 = hermitize(dag(P) @ canonical_metric(b, t) @ P)
+    else:
+        H0 = random_hermitian_metric(b, t, rng, amplitude=0.5, modes=1)
+    prob = ContinuationProblem(b, t, H0, MetricField(t, np.eye(dim)), 0.0)
+    calc = prob.calc0
+    f = calc.from_hermitian(random_hermitian_metric(b, t, rng, amplitude=amplitude, modes=1))
+    at = prob.res_norm(f, 0.5)
+    lin = prob.linearization(at)
+
+    def close(got, ref):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    w, U = at.w, at.U
+    close(at.logf, calc.from_eig(U, np.log(w)))
+    close(at.finv, np.linalg.inv(f))
+    close(lin.sqrt_f, calc.from_eig(U, np.sqrt(w)))
+    wi, wj = w[..., :, None], w[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wi == wj, 1.0 / wi, np.log(wi / wj) / (wi - wj))
+    Phi = rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape)
+    sq, isq = calc.sqrt, calc.isqrt
+    close(lin.dlog(Phi), isq @ U @ ((dag(U) @ sq @ Phi @ isq @ U) * ratio) @ dag(U) @ sq)
+    solves = []
+    gmres = krylov.gmres
+
+    def recording(matvec, b, psolve, **kwargs):
+        solves.append(gmres(matvec, b, psolve, **kwargs))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(krylov, "gmres", recording)
+        s = prob.solve_newton_direction(lin, at.L, 1e-8)
+    x = solves[0][0].reshape(f.shape)
+    sigma, V = calc.eig(traceless(calc.hermitize(x)))
+    close(s[0], sigma)
+    f_try, image = prob.update(lin, s, step)
+    close(f_try, newton_trial(calc, lin.sqrt_f, sigma, V, step))
+    close(image, calc.sqrt @ f_try @ calc.isqrt)
+    assert np.abs(np.linalg.det(f_try) - 1.0).max() <= 1e-13
+
+
+def test_blowup_t2_gmres_solves_take_their_residual_from_one_matvec(monkeypatch):
+    # every Newton direction and path tangent of the blowup_t2 run is a
+    # first gmres cycle that ends after one Arnoldi step: it makes exactly
+    # `steps` matvecs, none to check its residual, and its x meets rtol by a
+    # fresh ||b - A x|| as well as by the residual from the step's image
+    solves = []
+    gmres = krylov.gmres
+
+    def recording(matvec, b, psolve, rtol, maxiter):
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            return matvec(v)
+        x, info, steps, rnorm = gmres(counted, b, psolve, rtol=rtol, maxiter=maxiter)
+        solves.append((matvec, b, x, info, steps, rnorm, rtol, len(calls)))
+        return x, info, steps, rnorm
+
+    monkeypatch.setattr(krylov, "gmres", recording)
+    t = AffineTorus(2, 16)
+    res = run_continuation(build_bundle([UNIPOTENT, np.eye(2)]), t,
+                           MetricField(t, np.eye(2)), m_max=25.0)
+    d = res.diagnostics
+    assert res.status == "blowup"
+    assert len(solves) == d["newton_directions"] + d["tangent_solves"] == d["krylov_matvecs"]
+    for matvec, b, x, info, steps, rnorm, rtol, calls in solves:
+        assert (info, steps, calls) == (0, 1, 1)
+        bound = rtol * np.linalg.norm(b)
+        assert rnorm <= bound
+        assert np.linalg.norm(b - matvec(x)) <= bound
+
+
 def test_newton_step_diagonalizes_each_state_once(monkeypatch):
     # the blowup_t2 input off the path: a Newton step makes one
     # eigendecomposition per line-search trial (in res_norm) and one for its
@@ -297,9 +399,9 @@ def test_newton_step_diagonalizes_each_state_once(monkeypatch):
     monkeypatch.setattr(continuation, "covariant_del0",
                         counting("del0", continuation.covariant_del0))
     at = prob.res_norm(f1, 0.5)
-    assert counts == dict(eig=1, inv=1, del0=1)
+    assert counts == dict(eig=1, inv=0, del0=1)
     prob.linearization(at)
-    assert counts == dict(eig=1, inv=1, del0=1)
+    assert counts == dict(eig=1, inv=0, del0=1)
     counts.update(eig=0)
     st = newton_solve(prob, 0.5, f1)
     work = prob.work
@@ -343,7 +445,7 @@ def test_newton_direction_stops_at_its_forcing_term(monkeypatch):
     b = build_bundle([UNIPOTENT, np.eye(2)])
     H0, _, _ = normalize_background(b, t, canonical_metric(b, t), g)
     prob = ContinuationProblem(b, t, H0, g, 0.0)
-    far = prob.renormalize_det(prob.calc0.from_hermitian(random_hermitian_metric(
+    far = renormalize_det(prob.calc0.from_hermitian(random_hermitian_metric(
         b, t, np.random.default_rng(0), amplitude=0.3, modes=1)))
     solves = []
     gmres = krylov.gmres
@@ -506,9 +608,9 @@ def test_line_search_picks_the_exhaustive_best(case, request, monkeypatch):
 
     def searching(self, lin, L, eta):
         s = solve(self, lin, L, eta)
-        trials = [self.renormalize_det(self.update(lin, s, 0.5**k)) for k in range(9)]
-        res = [self.res_norm(f, lin.eps).res for f in trials]
-        searches.append((self.calc0.sup_norm(L), trials[int(np.argmin(res))], min(res)))
+        trials = [self.update(lin, s, 0.5**k) for k in range(9)]
+        res = [self.res_norm(f, lin.eps, image).res for f, image in trials]
+        searches.append((self.calc0.sup_norm(L), trials[int(np.argmin(res))][0], min(res)))
         return s
 
     monkeypatch.setattr(ContinuationProblem, "solve_newton_direction", searching)
@@ -537,11 +639,11 @@ def test_line_search_rejects_a_singular_trial(polystable_t1, monkeypatch):
         steps.append(step)
         return update(self, lin, s, step)
 
-    def singular_first_full_step(self, f, eps):
+    def singular_first_full_step(self, f, eps, image=None):
         if steps[-1] == 1.0 and not any(step == 1.0 for step, _ in seen):
             seen.append((1.0, None))
             raise np.linalg.LinAlgError("Singular matrix")
-        seen.append((steps[-1], res_norm(self, f, eps)))
+        seen.append((steps[-1], res_norm(self, f, eps, image)))
         return seen[-1][1]
 
     monkeypatch.setattr(ContinuationProblem, "update", recording_update)
@@ -562,12 +664,12 @@ def test_line_search_rejects_an_overflowing_trial(polystable_t1, monkeypatch):
 
     def overflowing_first_step(self, lin, s, step=1.0):
         steps.append(step)
-        f = update(self, lin, s, step)
-        return f * np.float64(1e300) * np.float64(1e300) if len(steps) == 1 else f
+        f, image = update(self, lin, s, step)
+        return (f * np.float64(1e300) * np.float64(1e300) if len(steps) == 1 else f), image
 
-    def recording_res_norm(self, f, eps):
+    def recording_res_norm(self, f, eps, image=None):
         evaluated.append(steps[-1] if steps else None)
-        return res_norm(self, f, eps)
+        return res_norm(self, f, eps, image)
 
     monkeypatch.setattr(ContinuationProblem, "update", overflowing_first_step)
     monkeypatch.setattr(ContinuationProblem, "res_norm", recording_res_norm)
@@ -651,6 +753,35 @@ def test_rank1_ends_at_the_normalization(grid, radii, angles, conformal, amplitu
     assert res.diagnostics["krylov_matvecs"] == 0
     vals = res.final_metric[..., 0, 0].real
     assert (vals.max() - vals.min()) / vals.mean() <= 1e-10
+
+
+def test_rank1_pass_computes_one_mean_curvature(monkeypatch):
+    # the T^3 N=8 rank-1 example from an amplitude-0.3 background (seed 1):
+    # each defect-correction pass makes one Poisson solve and computes the
+    # mean curvature of its own rescaled metric only, which is also the next
+    # pass's input; the run adds only that of the background h_0'
+    counts = dict(K=0, passes=0)
+    mean_curvature, poisson = continuation.mean_curvature, continuation.solve_scalar_elliptic
+
+    def counted_K(*args):
+        counts["K"] += 1
+        return mean_curvature(*args)
+
+    def counted_pass(*args, **kwargs):
+        counts["passes"] += 1
+        return poisson(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "mean_curvature", counted_K)
+    monkeypatch.setattr(continuation, "solve_scalar_elliptic", counted_pass)
+    t = AffineTorus(3, 8)
+    b = build_bundle([np.array([[r * np.exp(1j * th)]])
+                      for r, th in zip([2.0, 1.5, 0.5], [0.3, 2.0, -1.0])])
+    h0p = hermitize(canonical_metric(b, t) @ random_hermitian_metric(
+        b, t, np.random.default_rng(1), amplitude=0.3, modes=1))
+    res = run_continuation(b, t, MetricField(t, np.eye(3)), h0p)
+    assert res.status == "converged" and res.K_defect <= 1e-11
+    assert counts["passes"] >= 2
+    assert counts["K"] == counts["passes"] + 1
 
 
 def test_run_polystable_block_diagonal(t64, gI, rng):
@@ -811,8 +942,8 @@ def test_tangent_predictor_is_second_order():
     assert prob.work["tangent_solves"] == 1 and prob.work["newton_directions"] == 0
     predicted = {}
     for dt in (-0.2, -0.1):
-        f_pred = prob.renormalize_det(prob.update(lin, sdot, dt))
-        predicted[dt] = prob.res_norm(f_pred, np.exp(dt)).res
+        f_pred, image = prob.update(lin, sdot, dt)
+        predicted[dt] = prob.res_norm(f_pred, np.exp(dt), image).res
         assert predicted[dt] < 0.1 * prob.res_norm(f1, np.exp(dt)).res
     assert 3.0 < predicted[-0.2] / predicted[-0.1] < 5.0
 

@@ -18,6 +18,7 @@ from affinehe.errors import NoPositiveKernel
 from affinehe.forms import MetricField
 from affinehe.gauduchon import find_gauduchon_factor
 from affinehe.torus import AffineTorus
+from oracles import renormalize_det
 from test_gauduchon import assemble_Q, bbt_metric, gauduchon_t3_seed1_metric, sin_metric
 
 UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -49,7 +50,7 @@ def blowup_t2_far():
     b = build_bundle([UNIPOTENT, np.eye(2)])
     H0, _, _ = normalize_background(b, t, canonical_metric(b, t), g)
     prob = ContinuationProblem(b, t, H0, g, 0.0)
-    far = prob.renormalize_det(prob.calc0.from_hermitian(random_hermitian_metric(
+    far = renormalize_det(prob.calc0.from_hermitian(random_hermitian_metric(
         b, t, np.random.default_rng(0), amplitude=0.3, modes=1)))
     at = prob.res_norm(far, 0.5)
     return lambda: prob.solve_newton_direction(prob.linearization(at), at.L, 1e-8)
