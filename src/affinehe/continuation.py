@@ -49,7 +49,8 @@ CUT_MIN = 0.01  # the most aggressive eps cut eps_next / eps
 THETA_TARGET = 0.1  # first Newton contraction the cut aims at (Deuflhard 2004, ch. 5)
 # work of a run; krylov_unconverged counts gmres stops with info != 0
 WORK_COUNTERS = ("newton_directions", "line_search_trials", "tangent_solves",
-                 "krylov_matvecs", "krylov_unconverged", "eps_backtracks")
+                 "krylov_matvecs", "krylov_unconverged", "eps_backtracks",
+                 "eps_zero_probes")
 
 
 def einstein_constant(bundle: FlatBundle, torus: AffineTorus, H: np.ndarray,
@@ -471,12 +472,13 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
     first Newton contraction, and the cut stays >= CUT_MIN.  A diverged
     stage is retried from the last accepted state with the square root of
     the failed cut, and its retry does not grow the cut.  Below eps_min the
-    eps = 0 equation is attempted directly; a converged attempt only counts
-    if m barely moved, since for strictly semistable bundles the eps = 0
-    residual decays along the degenerating family without a solution.
-    Otherwise the path descends from the attempt's state until m_max, the
-    step budget, or a retry cut above 0.97 ("stuck below").  Never silently
-    returns a non-converged metric.
+    eps = 0 equation is probed every 8 stages.  Its Newton stops once m
+    passes b = min(m + 0.5, m_max / 2), m the stage's, and the probe counts
+    only if it converges with m <= b (m-drift test), since for strictly
+    semistable bundles the eps = 0 residual decays along the degenerating
+    family without a solution.  Otherwise the path goes on from the tangent
+    predictor until m_max, the step budget, or a retry cut above 0.97
+    ("stuck below").  Never silently returns a non-converged metric.
 
     Rank 1 ends at the conformal rescaling of the normalization
     (``rescale_trace``), which solves its whole equation: it is rerun from
@@ -543,25 +545,21 @@ def run_continuation(bundle: FlatBundle, torus: AffineTorus, gG: MetricField,
         ratio = float(np.clip(np.sqrt(THETA_TARGET / max(theta, 1e-12)), 0.5, grow))
         cut = min(max(cut ** ratio, CUT_MIN), max(cut, factor))
         retried = False
-        f_next = None
         if eps <= eps_min and steps - tried_zero_at >= 8:
             tried_zero_at = steps
+            problem.work["eps_zero_probes"] += 1
+            bound = min(st.m + 0.5, 0.5 * m_max)
             try:
-                st0 = newton_solve(problem, 0.0, st.at.f, tol=newton_tol, m_max=m_max)
+                st0 = newton_solve(problem, 0.0, st.at.f, tol=newton_tol, m_max=bound)
             except Diverged:
                 pass
             else:
                 history.append((st0.at.eps, st0.at.res, st0.m, st0.det_defect))
-                f_next = st0.at.f  # keep: for semistable bundles this pushes m up
-                if st0.m >= m_max:
-                    return stop("blowup", st0.at.f, eps_at_blowup=st0.at.eps,
-                                m_at_blowup=st0.m)
-                # m-drift test; st0 is converged, as only m >= m_max returns unconverged
-                if st0.m - st.m <= 0.5 and st0.m <= 0.5 * m_max:
+                if st0.converged and st0.m <= bound:
                     return stop("converged", H=hermitize(H0 @ st0.at.f))
         good = (eps, st.at.f, *problem.tangent(st.at))
         eps *= cut
-        f = predict() if f_next is None else f_next
+        f = predict()
     return stop("max-iters", message="step budget exhausted")
 
 

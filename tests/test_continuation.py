@@ -858,16 +858,50 @@ def failing_stage(monkeypatch, stage, attempts):
     monkeypatch.setattr(continuation, "newton_solve", solve)
 
 
+def recorded_run(monkeypatch, *args, **kwargs):
+    """run_continuation(*args, **kwargs) with each newton_solve call recorded
+    as a dict: its eps, starting f and m_max, the state it returned (None if
+    it raised), the Newton directions it made, and ``prediction``, the state
+    of the last ``update`` made outside newton_solve before it (the tangent
+    predictor's).  Returns (result, calls)."""
+    calls, predictions, inside = [], [], []
+    newton, update = continuation.newton_solve, ContinuationProblem.update
+
+    def recording_newton(problem, eps, f, **kw):
+        call = dict(eps=eps, f=np.array(f), m_max=kw.get("m_max"), state=None,
+                    prediction=predictions[-1] if predictions else None)
+        calls.append(call)
+        before = problem.work["newton_directions"]
+        inside.append(eps)
+        try:
+            call["state"] = newton(problem, eps, f, **kw)
+            return call["state"]
+        finally:
+            inside.pop()
+            call["directions"] = problem.work["newton_directions"] - before
+
+    def recording_update(self, *a):
+        out = update(self, *a)
+        if not inside:
+            predictions.append(out[0])
+        return out
+
+    monkeypatch.setattr(continuation, "newton_solve", recording_newton)
+    monkeypatch.setattr(ContinuationProblem, "update", recording_update)
+    return run_continuation(*args, **kwargs), calls
+
+
 def test_run_reports_its_krylov_work(monkeypatch):
     # the counters in the diagnostics match an independent count of the
     # Krylov solves made inside newton_solve (directions) and outside it
     # (tangents), the gmres matvecs and unconverged gmres stops of both (the
     # background normalization's lgmres solve is counted apart), the
     # line-search trials
-    # (the updates made inside newton_solve) and the diverged eps > 0 stages
-    # (one is injected)
+    # (the updates made inside newton_solve), the diverged eps > 0 stages
+    # (one is injected) and the eps = 0 probes
     counts = dict(newton_directions=0, tangent_solves=0, krylov_matvecs=0,
-                  krylov_unconverged=0, eps_backtracks=0, line_search_trials=0)
+                  krylov_unconverged=0, eps_backtracks=0, line_search_trials=0,
+                  eps_zero_probes=0)
     gmres, lgmres = krylov.gmres, krylov.lgmres
     solve = ContinuationProblem.solve_newton_direction
     update = ContinuationProblem.update
@@ -922,9 +956,11 @@ def test_run_reports_its_krylov_work(monkeypatch):
     res = run_continuation(b, t, g, h0p)
     assert res.status == "converged"
     counts["eps_backtracks"] = sum(raised for eps, raised in attempts if eps > 0)
+    counts["eps_zero_probes"] = sum(eps == 0.0 for eps, _ in attempts)
     assert counts["krylov_matvecs"] > counts["newton_directions"] > 0
     assert len(normalization_solves) == 1
     assert counts["tangent_solves"] > 0 and counts["eps_backtracks"] == 1
+    assert counts["eps_zero_probes"] == 1
     assert counts["line_search_trials"] >= counts["newton_directions"]
     assert {k: res.diagnostics[k] for k in counts} == counts
 
@@ -1021,15 +1057,64 @@ def test_conjugated_unipotent_blows_up_to_P_e1():
         assert np.linalg.norm(F - v @ (np.conj(v.T) @ F)) < 1e-8
 
 
-def test_m_drift_rejects_semistable_eps_zero_probe():
-    # with m_max = 50 an eps = 0 probe of the unipotent path reaches the
-    # residual tolerance at m ~ 22, below 0.5 m_max; only the m-drift test
-    # keeps that probe from being reported as a Hermitian-Einstein metric
+def test_m_drift_rejects_semistable_eps_zero_probe(monkeypatch):
+    # with m_max = 50 an eps = 0 probe of the unipotent path, run to the
+    # end, reaches the residual tolerance at m ~ 22, below 0.5 m_max, and a
+    # later probe starts at m ~ 43 with a residual at round-off; only the
+    # m-drift test keeps such a probe from being reported as a
+    # Hermitian-Einstein metric, and as it is held at every Newton state,
+    # each probe stops within two directions
     t = AffineTorus(1, 32)
     g = MetricField(t, np.eye(1))
     b = build_bundle([UNIPOTENT])
-    res = run_continuation(b, t, g, m_max=50.0, max_steps=20)
+    res, calls = recorded_run(monkeypatch, b, t, g, m_max=50.0, max_steps=20)
     assert res.status != "converged"
+    probes = [c for c in calls if c["eps"] == 0.0]
+    assert probes and res.diagnostics["eps_zero_probes"] == len(probes)
+    for probe in probes:
+        st0 = probe["state"]
+        assert probe["directions"] <= 2
+        assert st0 is None or not (st0.converged and st0.m <= probe["m_max"])
+
+
+def test_blowup_t2_eps_zero_probe_stops_at_its_m_drift_bound(monkeypatch):
+    # on the blowup_t2 input (T^2 N=16, unipotent x I, m_max 25) the eps = 0
+    # equation has no solution; the first probe starts from the last stage's
+    # f with m bounded by min(m + 0.5, m_max / 2), crosses that bound after
+    # one Newton direction and returns unconverged
+    t = AffineTorus(2, 16)
+    g = MetricField(t, np.eye(2))
+    res, calls = recorded_run(monkeypatch, build_bundle([UNIPOTENT, np.eye(2)]), t, g,
+                              m_max=25.0)
+    assert res.status == "blowup"
+    i = next(i for i, c in enumerate(calls) if c["eps"] == 0.0)
+    stage, probe = calls[i - 1]["state"], calls[i]
+    assert np.array_equal(probe["f"], stage.at.f)
+    assert probe["m_max"] == min(stage.m + 0.5, 12.5)
+    assert probe["directions"] <= 1
+    assert not probe["state"].converged and probe["state"].m >= probe["m_max"]
+    assert res.diagnostics["eps_zero_probes"] == 1
+
+    # the rejected probe's state is dropped: the next stage starts from the
+    # tangent predictor
+    after = calls[i + 1]
+    assert after["eps"] > 0.0
+    assert np.array_equal(after["f"], after["prediction"])
+    assert not np.array_equal(after["f"], probe["state"].at.f)
+
+
+def test_he_polystable_t1_eps_zero_probe_is_accepted_after_one_direction(monkeypatch):
+    # the polystable path ends at its one eps = 0 probe, which converges
+    # after one Newton direction, inside its m-drift bound, so the bound
+    # leaves the answer as it was
+    res, calls = recorded_run(monkeypatch, *polystable_t1_background())
+    assert res.status == "converged"
+    assert sum(c["eps"] == 0.0 for c in calls) == 1
+    probe = calls[-1]
+    assert probe["eps"] == 0.0 and probe["state"].converged
+    assert probe["directions"] == 1
+    assert res.diagnostics["eps_zero_probes"] == 1
+    assert res.K_defect == pytest.approx(4.414679869035334e-09, rel=1e-6)
 
 
 def test_real_he_metric_rotation(t64, gI):
